@@ -120,11 +120,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = model_from_artifact(load_artifact(args.artifact))
     raw = _load_raw(args)
-    seed = int(raw["train"]["seed"])
-    train_envs, eval_envs = build_environments(raw, seed)
+    cfg = resolve_train_config(raw)
+    train_envs, eval_envs = build_environments(raw, cfg.seed)
     envs = sorted([*train_envs, *eval_envs], key=lambda e: e.env_id)
-    batch = int(raw["train"]["batch_size"])
-    results = [(env.env_id, evaluate(model, env, batch)) for env in envs]
+    results = [(env.env_id, evaluate(model, env, cfg.batch_size)) for env in envs]
     if args.csv:
         print("env_id,accuracy")
         for env_id, acc in results:
@@ -288,8 +287,7 @@ def cmd_data_build(args) -> int:
     out_dir = raw["output"]["dir"].strip()
     if not out_dir:
         raise ConfigError("output.dir is required for data-build")
-    seed = int(raw["train"]["seed"])
-    train_envs, eval_envs = build_environments(raw, seed)
+    train_envs, eval_envs = build_environments(raw, resolve_train_config(raw).seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for env in [*train_envs, *eval_envs]:

@@ -134,7 +134,7 @@ class Model:
                 if not flattened:
                     h = T.reshape(h, (n, -1))
                     flattened = True
-                h = T.add(T.matmul(h, T.transpose(w)), layer.bias)
+                h = T.add(T.linear(h, w), layer.bias)
                 if layer.activation == "relu":
                     h = T.relu(h)
         return h

@@ -213,6 +213,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return apply_primitive(ad @ bd, (a, b), (lambda g: g @ bd.T, lambda g: ad.T @ g))
 
 
+def linear(x: Tensor, w: Tensor) -> Tensor:
+    """x @ w.T for x (batch, in) and w (out, in): a dense layer's product.
+
+    Equal to matmul(x, transpose(w)) in value and input gradient; the weight
+    gradient g.T @ x comes back C-contiguous, in w's own layout, so the
+    elementwise passes over it downstream do not mix memory orders.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ShapeError(f"linear expects 2-D operands, got {x.shape} and {w.shape}")
+    if x.shape[1] != w.shape[1]:
+        raise ShapeError(f"linear: input width {x.shape[1]} does not match weights {w.shape}")
+    xd, wd = x.data, w.data
+    return apply_primitive(xd @ wd.T, (x, w), (lambda g: g @ wd, lambda g: g.T @ xd))
+
+
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose expects a 2-D tensor, got {a.shape}")

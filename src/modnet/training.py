@@ -26,7 +26,8 @@ from .tensor import Tape, Tensor
 
 class Adam:
     """Standard Adam over named tensors. Updates are written back into each
-    tensor's data as a fresh array (old arrays stay valid on live tapes)."""
+    tensor's data as a fresh array (old arrays stay valid on live tapes); the
+    moments are updated in place."""
 
     def __init__(self, named_params, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -40,6 +41,8 @@ class Adam:
         self.t = 0
         self.m = {name: np.zeros_like(t.data) for name, t in self.params}
         self.v = {name: np.zeros_like(t.data) for name, t in self.params}
+        # one buffer for every parameter's temporaries, viewed at its shape
+        self._scratch = np.empty(max((t.data.size for _, t in self.params), default=0))
 
     def step(self, tape: Tape, grads: dict) -> None:
         self.t += 1
@@ -51,9 +54,26 @@ class Adam:
                 g = np.zeros_like(tensor.data)
             elif not np.all(np.isfinite(g)):
                 raise TrainingError(f"non-finite gradient for parameter {name!r} at step {self.t}")
-            m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            tensor.data = tensor.data - self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            # the arithmetic, operation for operation, of
+            # m = beta1 * m + (1 - beta1) * g
+            # v = beta2 * v + (1 - beta2) * g * g
+            # data = data - lr * (m / b1c) / (sqrt(v / b2c) + eps)
+            m, v = self.m[name], self.v[name]
+            buf = self._scratch[: m.size].reshape(m.shape)
+            np.multiply(m, self.beta1, out=m)
+            np.multiply(g, 1.0 - self.beta1, out=buf)
+            m += buf
+            np.multiply(v, self.beta2, out=v)
+            np.multiply(g, 1.0 - self.beta2, out=buf)
+            buf *= g
+            v += buf
+            np.divide(v, b2c, out=buf)
+            np.sqrt(buf, out=buf)
+            buf += self.eps
+            update = np.divide(m, b1c, out=np.empty_like(m))
+            update *= self.lr
+            update /= buf
+            tensor.data = np.subtract(tensor.data, update, out=update)
 
 
 def temperature(step: int, tau0: float, tau_min: float, anneal_steps: int) -> float:

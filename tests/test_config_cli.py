@@ -250,6 +250,13 @@ class TestCliEvalAnalyze:
         assert rc == 3
         assert "refusing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", ["seed=abc", "batch_size=2.5"])
+    def test_eval_non_integer_setting_exit_2(self, trained, override, capsys):
+        cfg_path, artifact = trained
+        assert main(["eval", str(artifact), "--config", cfg_path, "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: train.") and "Traceback" not in err
+
     def test_eval_bad_artifact_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -292,3 +299,8 @@ class TestCliDataBuild:
     def test_requires_out_dir(self, capsys):
         assert main(["data-build"]) == 2
         assert "output.dir" in capsys.readouterr().err
+
+    def test_non_integer_seed_exit_2(self, tmp_path, capsys):
+        assert main(["data-build", "--set", "seed=abc", "--set", f"output.dir={tmp_path}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: train.seed") and "Traceback" not in err

@@ -153,6 +153,73 @@ class TestEffectiveWeights:
         assert gl is not None and np.any(gl != 0)
 
 
+def _reference_gate(param, temperature, rng):
+    """The five-node tape chain the fused gate replaces:
+    add -> scalar_multiply -> sigmoid -> binarize_straight_through -> multiply."""
+    from modnet import tensor as T
+
+    u = np.clip(rng.uniform(size=param.mask_logits.shape), 1e-12, 1.0 - 1e-12)
+    noise = np.log(u) - np.log1p(-u)
+    relaxed = T.sigmoid(T.scalar_multiply(T.add(param.mask_logits, Tensor(noise)), 1.0 / temperature))
+    hard = T.apply_primitive((relaxed.data > 0.5).astype(np.float64), (relaxed,), (lambda g: g,))
+    return relaxed, T.multiply(param.weights, hard)
+
+
+class TestFusedGate:
+    # 1-D, a 2-D dense shape spanning several of the gate's blocks, a conv kernel
+    SHAPES = [(37,), (130, 200), (6, 3, 3, 3)]
+
+    @pytest.mark.parametrize("tau", [5.0, 1.0, 0.1])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_bit_identical_to_reference_chain(self, shape, tau):
+        data = np.random.default_rng(len(shape))
+        logits = data.normal(0.0, 3.0, size=shape)
+        logits.flat[:2] = (-80.0, 80.0)  # saturate the gate at the cold temperature
+        weights = data.normal(size=shape)  # both signs, so w * 0 gives -0.0 too
+        cotangent = data.normal(size=shape)
+
+        def run(gate):
+            p = make_param(logits.copy(), weights=weights.copy())
+            rng = np.random.default_rng(2024)
+            with Tape() as tape:
+                relaxed, out = gate(p, rng)
+                loss = _sum(out * Tensor(cotangent))
+                grads = tape.backward(loss)
+            return relaxed, out.data, tape.grad(grads, p.weights), tape.grad(grads, p.mask_logits), rng
+
+        fused = run(lambda p, rng: (None, masking.effective_weights(p, MaskMode.stochastic(tau), rng)))
+        ref = run(lambda p, rng: _reference_gate(p, tau, rng))
+        for got, want in zip(fused[1:4], ref[1:4]):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert fused[4].bit_generator.state == ref[4].bit_generator.state
+        if tau == 0.1:
+            s = ref[0].data
+            assert np.any(s == 0.0) and np.any(s == 1.0)
+
+    @pytest.mark.parametrize("tau", [5.0, 0.1])
+    def test_relaxed_sample_matches_reference_sigmoid(self, tau):
+        logits = np.random.default_rng(4).normal(0.0, 3.0, size=(130, 200))
+        cotangent = np.random.default_rng(5).normal(size=logits.shape)
+
+        def run(sample):
+            p = make_param(logits.copy())
+            with Tape() as tape:
+                s = sample(p, np.random.default_rng(9))
+                grads = tape.backward(_sum(s * Tensor(cotangent)))
+            return s.data, tape.grad(grads, p.mask_logits)
+
+        got = run(lambda p, rng: masking.sample_relaxed_mask(p.mask_logits, tau, rng))
+        want = run(lambda p, rng: _reference_gate(p, tau, rng)[0])
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    def test_one_tape_node(self):
+        p = make_param(np.zeros((4, 5)), weights=np.ones((4, 5)))
+        with Tape() as tape:
+            masking.effective_weights(p, MaskMode.stochastic(1.0), np.random.default_rng(0))
+        assert len(tape._records) == 1
+
+
 class TestExtraction:
     def test_threshold_and_idempotence(self):
         p = make_param([0.3, 0.0, -0.2, 7.0])

@@ -24,6 +24,10 @@ class TestForward:
         with pytest.raises(ShapeError):
             T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
 
+    def test_linear_width_mismatch(self):
+        with pytest.raises(ShapeError):
+            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+
     def test_relu_sign(self):
         out = T.relu(Tensor([-1.5, 0.0, 2.0]))
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
@@ -206,6 +210,25 @@ class TestBackward:
         p = np.exp([1.0, 0.0]) / np.exp([1.0, 0.0]).sum()
         np.testing.assert_allclose(tape.grad(grads, z), [p - [1.0, 0.0]], atol=1e-12)
 
+    def test_linear_matches_matmul_of_transpose(self):
+        rng = np.random.default_rng(11)
+        xv, wv = rng.normal(size=(128, 300)), rng.normal(size=(64, 300))
+        g = rng.normal(size=(128, 64))
+
+        def run(op):
+            x, w = Tensor(xv, requires_grad=True), Tensor(wv, requires_grad=True)
+            with Tape() as tape:
+                out = op(x, w)
+                grads = tape.backward(T.reduce_sum(T.multiply(out, Tensor(g))))
+            return out.data, tape.grad(grads, x), tape.grad(grads, w)
+
+        out, gx, gw = run(T.linear)
+        ref_out, ref_gx, ref_gw = run(lambda x, w: T.matmul(x, T.transpose(w)))
+        assert out.tobytes() == ref_out.tobytes()
+        assert gx.tobytes() == ref_gx.tobytes()
+        np.testing.assert_allclose(gw, ref_gw, rtol=1e-12, atol=1e-12)
+        assert gw.flags.c_contiguous and not ref_gw.flags.c_contiguous
+
 
 class TestFiniteDifference:
     def test_matmul_oracle(self):
@@ -255,6 +278,14 @@ class TestFiniteDifference:
         for _ in range(10):
             x = Tensor(rng.uniform(0.5, 2, size=7))
             assert finite_difference_check(lambda t: T.reduce_sum(T.sqrt(t)), x) < 1e-4
+
+    def test_linear_both_arguments(self):
+        rng = np.random.default_rng(7)
+        xv = rng.uniform(-2, 2, size=(3, 5))
+        wv = rng.uniform(-2, 2, size=(4, 5))
+        err_x = finite_difference_check(lambda t: T.reduce_sum(T.square(T.linear(t, Tensor(wv)))), Tensor(xv.copy()))
+        err_w = finite_difference_check(lambda t: T.reduce_sum(T.square(T.linear(Tensor(xv), t))), Tensor(wv.copy()))
+        assert err_x < 1e-4 and err_w < 1e-4
 
     def test_conv2d_both_arguments(self):
         rng = np.random.default_rng(8)

@@ -91,6 +91,34 @@ class TestAdam:
         np.testing.assert_array_equal(before, [1.0])
 
 
+    def test_matches_closed_form_and_keeps_moments_apart(self):
+        rng = np.random.default_rng(31)
+        shapes = {"big": (40, 30), "bias": (7,), "scalar": ()}
+        params = [(name, Tensor(rng.normal(size=shape), requires_grad=True)) for name, shape in shapes.items()]
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        ref = {name: (t.data.copy(), np.zeros(shape), np.zeros(shape)) for (name, t), shape in zip(params, shapes.values())}
+        for step in range(1, 4):
+            with Tape() as tape:
+                loss = Tensor(0.0)
+                for _, t in params:  # gradient 3 t^2: changes every step
+                    loss = T.add(loss, T.reduce_sum(T.multiply(T.square(t), t)))
+                grads = tape.backward(loss)
+            opt.step(tape, grads)
+            b1c, b2c = 1.0 - b1**step, 1.0 - b2**step
+            for name, t in params:
+                data, m, v = ref[name]
+                g = tape.grad(grads, t)
+                m = b1 * m + (1.0 - b1) * g
+                v = b2 * v + (1.0 - b2) * g * g
+                data = data - lr * (m / b1c) / (np.sqrt(v / b2c) + eps)
+                ref[name] = (data, m, v)
+                assert t.data.tobytes() == data.tobytes()
+                assert opt.m[name].tobytes() == m.tobytes() and opt.v[name].tobytes() == v.tobytes()
+                assert not np.shares_memory(opt.m[name], t.data)
+                assert not np.shares_memory(opt.v[name], t.data)
+
+
 class TestTemperature:
     def test_endpoints(self):
         assert temperature(0, 5.0, 0.5, 100) == 5.0
