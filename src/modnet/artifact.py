@@ -1,14 +1,20 @@
 """Subnetwork artifacts: serialize a trained model's weights and extracted
 masks, analyze the surviving structure, and render it as a graph.
 
-Artifacts are a single JSON document. Weights are stored unmasked next to a
-separate bit array, so what was pruned stays inspectable. Python's JSON float
-formatting round-trips doubles exactly, which keeps export -> load lossless.
+Artifacts are a single line of compact JSON. Weights are stored unmasked next
+to a separate bit array, so what was pruned stays inspectable. Python's JSON
+float formatting round-trips doubles exactly, which keeps export -> load
+lossless. Files are replaced atomically: a failed write leaves the previous
+file as it was.
 """
 
 from __future__ import annotations
 
+import array
 import json
+import os
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +26,31 @@ from .models import ConvLayer, DenseLayer, Model, ModelConfig
 from .tensor import Tensor
 
 FORMAT_VERSION = 1
+
+
+@contextmanager
+def atomic_open(path: str | Path):
+    """Open a text file that replaces `path` when the block exits cleanly.
+
+    The text goes to a temporary file in the target's directory, which
+    `os.replace` moves onto `path`; if the block raises, the temporary file
+    is removed and `path` keeps its previous contents.
+    """
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes 0600; give the mode open() would
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
 
 
 def export_subnetwork(model: Model, path: str | Path | None, meta: dict | None = None) -> dict:
@@ -59,7 +90,10 @@ def export_subnetwork(model: Model, path: str | Path | None, meta: dict | None =
         "meta": meta or {},
     }
     if path is not None:
-        Path(path).write_text(json.dumps(artifact, indent=1))
+        # a one-shot dumps runs the C encoder; json.dump and indent= do not
+        text = json.dumps(artifact, separators=(",", ":"))
+        with atomic_open(path) as fh:
+            fh.write(text)
     return artifact
 
 
@@ -68,26 +102,72 @@ def _require(cond: bool, msg: str):
         raise FormatError(msg)
 
 
+class _Checked(dict):
+    """A document that passed `validate_artifact`. `arrays` holds each
+    layer's (weights, mask, bias) as the arrays the check made of them."""
+
+    arrays: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _numbers(rec: dict, key: str, name: str) -> np.ndarray:
+    """`rec[key]` as a float64 vector; every entry must be a JSON number."""
+    values = rec.get(key)
+    _require(isinstance(values, list), f"{name}: '{key}' must be a list")
+    try:
+        arr = np.frombuffer(array.array("d", values))  # raises on strings, null, lists, objects
+    except (TypeError, OverflowError):
+        raise FormatError(f"{name}: {key} entries must be numbers") from None
+    # array("d") reads true and false as 1.0 and 0.0: only those entries can be booleans
+    _require(not any(type(values[i]) is bool for i in np.flatnonzero((arr == 0) | (arr == 1))),
+             f"{name}: {key} entries must be numbers")
+    return arr
+
+
+def _bits(rec: dict, name: str) -> np.ndarray:
+    """`rec["mask"]` as a bool vector; accepts exactly the entries with
+    `b in (0, 1)`: 0, 1, 0.0, 1.0, true and false."""
+    bits = rec.get("mask")
+    _require(isinstance(bits, list), f"{name}: 'mask' must be a list")
+    try:
+        arr = np.array(bits)
+    except (ValueError, TypeError):  # nested lists of uneven shape
+        arr = None
+    # string and object arrays compare unequal to 0 and 1 entry by entry
+    _require(arr is not None and arr.ndim == 1 and ((arr == 0) | (arr == 1)).all(), f"{name}: mask bits must be 0 or 1")
+    return arr == 1
+
+
 def validate_artifact(artifact: dict) -> dict:
-    """Schema-check an artifact document. Returns it with defaults filled in."""
+    """Schema-check an artifact document.
+
+    Returns a copy with defaults filled in that also carries the checked
+    arrays; `model_from_artifact` and `analyze` build from those without
+    checking again, so edit a document before validating it, not after.
+    """
     _require(isinstance(artifact, dict), "artifact must be a JSON object")
     version = artifact.get("format_version")
     _require(version == FORMAT_VERSION, f"unsupported format_version {version!r}, expected {FORMAT_VERSION}")
     _require("arch" in artifact, "artifact missing 'arch'")
     _require(isinstance(artifact.get("layers"), list) and artifact["layers"], "artifact needs a nonempty 'layers' list")
-    artifact.setdefault("meta", {})
-    for rec in artifact["layers"]:
-        name = rec.get("name", "?")
+    checked = _Checked(artifact)
+    checked.setdefault("meta", {})
+    checked.arrays = []
+    for rec in checked["layers"]:
+        _require(isinstance(rec, dict) and isinstance(rec.get("name"), str), "each layer needs a 'name' string")
+        name = rec["name"]
         _require(rec.get("kind") in ("dense", "conv"), f"{name}: kind must be 'dense' or 'conv'")
         shape = rec.get("shape")
         _require(isinstance(shape, list) and all(isinstance(s, int) and s > 0 for s in shape),
                  f"{name}: bad shape {shape!r}")
         size = int(np.prod(shape))
-        _require(len(rec.get("weights", [])) == size, f"{name}: expected {size} weights, got {len(rec.get('weights', []))}")
-        _require(len(rec.get("mask", [])) == size, f"{name}: mask length {len(rec.get('mask', []))} != weight length {size}")
-        _require(all(b in (0, 1) for b in rec["mask"]), f"{name}: mask bits must be 0 or 1")
-        _require(len(rec.get("bias", [])) == shape[0], f"{name}: expected {shape[0]} bias entries")
-    return artifact
+        weights = _numbers(rec, "weights", name)
+        _require(weights.size == size, f"{name}: expected {size} weights, got {weights.size}")
+        mask = _bits(rec, name)
+        _require(mask.size == size, f"{name}: mask length {mask.size} != weight length {size}")
+        bias = _numbers(rec, "bias", name)
+        _require(bias.size == shape[0], f"{name}: expected {shape[0]} bias entries")
+        checked.arrays.append((weights.reshape(shape), mask.reshape(shape), bias))
+    return checked
 
 
 def load_artifact(path: str | Path) -> dict:
@@ -101,7 +181,8 @@ def load_artifact(path: str | Path) -> dict:
 def model_from_artifact(artifact: dict) -> Model:
     """Rebuild a deterministic-mask model: logits are +1 for kept bits, -1
     for pruned ones, so the deterministic forward reproduces the mask."""
-    artifact = validate_artifact(artifact)
+    if not isinstance(artifact, _Checked):
+        artifact = validate_artifact(artifact)
     a = artifact["arch"]
     try:
         cfg = ModelConfig(
@@ -116,17 +197,16 @@ def model_from_artifact(artifact: dict) -> Model:
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad arch record: {exc}") from None
     layers: list = []
-    for rec in artifact["layers"]:
-        shape = tuple(rec["shape"])
-        w = Tensor(np.array(rec["weights"]).reshape(shape), requires_grad=True)
-        mask = np.array(rec["mask"]).reshape(shape)
-        logits = Tensor(np.where(mask == 1, 1.0, -1.0), requires_grad=True)
-        bias = Tensor(np.array(rec["bias"]), requires_grad=True)
+    for rec, (weights, mask, bias) in zip(artifact["layers"], artifact.arrays):
+        # copies, so that two models built from one document share no memory
+        w = Tensor(weights.copy(), requires_grad=True)
+        logits = Tensor(np.where(mask, 1.0, -1.0), requires_grad=True)
+        b = Tensor(bias.copy(), requires_grad=True)
         param = MaskedParameter(rec["name"], w, logits)
         if rec["kind"] == "conv":
-            layers.append(ConvLayer(param, bias, pool=bool(rec.get("pool", True))))
+            layers.append(ConvLayer(param, b, pool=bool(rec.get("pool", True))))
         else:
-            layers.append(DenseLayer(param, bias, activation=rec.get("activation", "none")))
+            layers.append(DenseLayer(param, b, activation=rec.get("activation", "none")))
     return Model(cfg, layers)
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .artifact import analyze, dot_export, load_artifact, model_from_artifact
+from .artifact import analyze, dot_export, load_artifact, load_subnetwork
 from .config import (
     apply_overrides,
     build_environments,
@@ -118,7 +118,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = model_from_artifact(load_artifact(args.artifact))
+    model = load_subnetwork(args.artifact)
     raw = _load_raw(args)
     cfg = resolve_train_config(raw)
     train_envs, eval_envs = build_environments(raw, cfg.seed)

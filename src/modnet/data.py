@@ -174,13 +174,17 @@ def build_colored_mnist(
 
 
 def rotate_image(img: np.ndarray, angle_degrees: float, method: str = "bilinear") -> np.ndarray:
-    """Rotate counter-clockwise about the image center; outside samples are 0."""
-    if img.ndim != 2:
-        raise ContractError(f"rotate_image expects a 2-D image, got shape {img.shape}")
+    """Rotate counter-clockwise about the image center; outside samples are 0.
+
+    `img` is one (H, W) image or a (..., H, W) stack, which is rotated image
+    by image on one sampling grid.
+    """
+    if img.ndim < 2:
+        raise ContractError(f"rotate_image expects a (..., H, W) image stack, got shape {img.shape}")
     if method not in ("nearest", "bilinear"):
         raise ConfigError(f"rotation method must be 'nearest' or 'bilinear', got {method!r}")
     img = np.asarray(img, dtype=np.float64)
-    h, w = img.shape
+    h, w = img.shape[-2:]
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     th = np.radians(angle_degrees)
     cos, sin = np.cos(th), np.sin(th)
@@ -198,7 +202,7 @@ def rotate_image(img: np.ndarray, angle_degrees: float, method: str = "bilinear"
         cc = np.rint(c_i).astype(np.int64)
         valid = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
         out = np.zeros_like(img)
-        out[valid] = img[rr[valid], cc[valid]]
+        out[..., valid] = img[..., rr[valid], cc[valid]]
         return out
 
     r0 = np.floor(r_i).astype(np.int64)
@@ -209,7 +213,7 @@ def rotate_image(img: np.ndarray, angle_degrees: float, method: str = "bilinear"
     def sample(rs, cs):
         valid = (rs >= 0) & (rs < h) & (cs >= 0) & (cs < w)
         vals = np.zeros_like(img)
-        vals[valid] = img[rs[valid], cs[valid]]
+        vals[..., valid] = img[..., rs[valid], cs[valid]]
         return vals
 
     out = (
@@ -244,7 +248,7 @@ def build_rotated_envs(
         idx = perm[i * per_env_count : (i + 1) * per_env_count]
         imgs = base.images[idx].astype(np.float64) / 255.0
         if angle != 0:
-            rotated = np.stack([rotate_image(im, angle, method) for im in imgs])
+            rotated = rotate_image(imgs, angle, method)
         else:
             rotated = imgs
         out.append(

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifact import export_subnetwork
+from .artifact import atomic_open, export_subnetwork
 from .data import Environment, batch_iter
 from .errors import ConfigError, DataError, TrainingError
 from .masking import MaskMode
@@ -242,7 +242,7 @@ def write_metrics_csv(rows: list[MetricsRow], path) -> None:
     if not rows:
         raise DataError("no metric rows to write")
     header = list(_row_values(rows[0]).keys())
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:

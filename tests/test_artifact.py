@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from modnet.errors import FormatError, SizeLimitError
 from modnet.masking import MaskMode, extract_final_mask
 from modnet.models import ModelConfig, build_model
 from modnet.tensor import Tensor
+from modnet.training import MetricsRow, write_metrics_csv
 
 DET = MaskMode.deterministic()
 
@@ -46,6 +48,25 @@ class TestRoundtrip:
         loaded = A.load_subnetwork(path)
         x = Tensor(np.random.default_rng(5).random((1000, 1, 2, 2)))
         np.testing.assert_array_equal(m.forward(x, DET).data, loaded.forward(x, DET).data)
+
+    def test_file_is_one_compact_line(self, tmp_path):
+        path = tmp_path / "model.subnet.json"
+        doc = A.export_subnetwork(small_model(), path)
+        text = path.read_text()
+        assert "\n" not in text and ", " not in text and ": " not in text
+        assert text == json.dumps(doc, separators=(",", ":"))
+        assert os.listdir(tmp_path) == ["model.subnet.json"]
+
+    def test_file_parses_to_returned_document_bit_for_bit(self, tmp_path):
+        m = small_model(seed=4)
+        m.layers[0].param.weights.data.reshape(-1)[:4] = [0.1, -0.0, 1e-310, 2.0 / 3.0]
+        path = tmp_path / "model.subnet.json"
+        doc = A.export_subnetwork(m, path)
+        parsed = json.loads(path.read_text())
+        assert parsed == doc
+        for got, want in zip(parsed["layers"], doc["layers"]):
+            for key in ("weights", "bias"):
+                assert np.array(got[key]).tobytes() == np.array(want[key]).tobytes()
 
     def test_extraction_rule(self):
         m = small_model()
@@ -90,6 +111,60 @@ class TestValidation:
 
     def test_bias_length_mismatch(self, tmp_path):
         self.roundtrip_error(lambda d: d["layers"][0]["bias"].append(0.0), tmp_path)
+
+    @pytest.mark.parametrize("bit", [0.5, "1", None, [1]])  # 2 is test_corrupt_mask_bit
+    def test_mask_bit_rejected(self, tmp_path, bit):
+        def mutate(d):
+            d["layers"][0]["mask"][1] = bit
+
+        self.roundtrip_error(mutate, tmp_path)
+
+    def test_nested_mask_rejected(self, tmp_path):
+        def mutate(d):
+            d["layers"][0]["mask"] = [[b] for b in d["layers"][0]["mask"]]
+
+        self.roundtrip_error(mutate, tmp_path)
+
+    @pytest.mark.parametrize("bits", [[0, 1], [0.0, 1.0], [False, True], [False, 1.0]])
+    def test_mask_bit_accepted(self, tmp_path, bits):
+        doc = self.art()
+        mask = doc["layers"][0]["mask"]
+        mask[:2] = bits
+        p = tmp_path / "ok.json"
+        p.write_text(json.dumps(doc))
+        model = A.load_subnetwork(p)
+        got = extract_final_mask(model.layers[0].param).reshape(-1)
+        assert got[:2].tolist() == [0, 1]
+        assert got.tolist() == [int(b) for b in mask]
+
+    @pytest.mark.parametrize("key,value", [
+        ("weights", "abc"), ("weights", [1.0]), ("weights", "1.5"), ("weights", None), ("weights", True),
+        ("bias", None), ("bias", "0.5"), ("bias", [0.0]), ("bias", False),
+    ])
+    def test_non_number_entry_rejected(self, tmp_path, key, value):
+        def mutate(d):
+            d["layers"][0][key][0] = value
+
+        self.roundtrip_error(mutate, tmp_path)
+        doc = self.art()
+        mutate(doc)
+        for handed_over in (A.model_from_artifact, A.analyze):
+            with pytest.raises(FormatError, match=key):
+                handed_over(doc)
+
+    def test_integer_weights_accepted(self):
+        doc = self.art()
+        doc["layers"][0]["weights"][:2] = [3, -1]
+        model = A.model_from_artifact(doc)
+        assert model.layers[0].param.weights.data.reshape(-1)[:2].tolist() == [3.0, -1.0]
+
+    def test_validated_document_builds_unshared_models(self, tmp_path):
+        p = tmp_path / "a.json"
+        A.export_subnetwork(small_model(), p)
+        doc = A.load_artifact(p)
+        first, second = A.model_from_artifact(doc), A.model_from_artifact(doc)
+        first.layers[0].param.weights.data[:] = 0.0
+        assert np.any(second.layers[0].param.weights.data != 0.0)
 
     def test_not_json(self, tmp_path):
         p = tmp_path / "junk.json"
@@ -182,3 +257,48 @@ class TestDot:
         edges = [ln.strip() for ln in text.splitlines() if "->" in ln]
         # conv0 is (3, 2, 3, 3): 9 parallel edges per channel pair
         assert edges.count("u0_0 -> u1_0;") == 9
+
+
+class TestAtomicWrite:
+    def rows(self, n=3):
+        return [
+            MetricsRow(step=k, risk=0.5, irm=0.0, l2=0.1, s1=0.2, s2=0.3, temperature=1.0,
+                       train_accuracy=0.6, accuracies={"e0": 0.5, "test": 0.4}, densities={"dense0": 0.9})
+            for k in range(1, n + 1)
+        ]
+
+    def test_failed_export_keeps_previous_artifact(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.subnet.json"
+        A.export_subnetwork(small_model(seed=1), path)
+        before = path.read_bytes()
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("encoder failed")
+
+        monkeypatch.setattr(A.json, "dumps", boom)
+        with pytest.raises(RuntimeError):
+            A.export_subnetwork(small_model(seed=2), path)
+        monkeypatch.undo()
+        monkeypatch.setattr(A.os, "replace", boom)
+        with pytest.raises(RuntimeError):
+            A.export_subnetwork(small_model(seed=2), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.subnet.json"]
+
+    def test_failed_csv_row_keeps_previous_metrics(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(self.rows(), path)
+        before = path.read_bytes()
+        rows = self.rows(5)
+        del rows[3].accuracies["test"]  # its row raises after the header and three rows
+        with pytest.raises(KeyError):
+            write_metrics_csv(rows, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["metrics.csv"]
+
+    def test_new_file_gets_default_mode(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x")
+        with A.atomic_open(tmp_path / "atomic.txt") as fh:
+            fh.write("x")
+        assert (tmp_path / "atomic.txt").stat().st_mode == plain.stat().st_mode

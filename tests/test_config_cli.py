@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from modnet import config as C
+from modnet.artifact import export_subnetwork
 from modnet.cli import main
 from modnet.errors import ConfigError, DataError
+from modnet.models import ModelConfig, build_model
 
 
 def write_cfg(path, text):
@@ -261,6 +263,16 @@ class TestCliEvalAnalyze:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["eval", str(bad)]) == 2
+
+    def test_analyze_non_number_weight_exit_2(self, tmp_path, capsys):
+        model = build_model(ModelConfig(arch="mlp", input_shape=(1, 2, 2), classes=3, hidden=(5,)), 0)
+        doc = export_subnetwork(model, None)
+        doc["layers"][0]["weights"][0] = "abc"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["analyze", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dense0: weights") and "Traceback" not in err
 
 
 class TestCliGradcheck:

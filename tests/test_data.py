@@ -159,6 +159,15 @@ class TestRotation:
         with pytest.raises(ConfigError):
             D.rotate_image(np.zeros((4, 4)), 10.0, method="cubic")
 
+    @pytest.mark.parametrize("method", ["bilinear", "nearest"])
+    def test_stack_matches_per_image_bit_for_bit(self, method):
+        stack = np.random.default_rng(2).random((3, 2, 28, 28))
+        for angle in (15, 37.5, 75, 200):
+            out = D.rotate_image(stack, angle, method)
+            want = np.array([[D.rotate_image(im, angle, method) for im in group] for group in stack])
+            assert out.shape == stack.shape
+            assert out.tobytes() == want.tobytes()
+
 
 class TestRotatedEnvs:
     def test_partition_and_roles(self):
