@@ -21,6 +21,7 @@ from .config import (
     render_config,
     resolve_train_config,
 )
+from .data import EnvironmentBatch
 from .errors import (
     ConfigError,
     ContractError,
@@ -154,11 +155,6 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-class _EnvBatch:
-    def __init__(self, env_id, inputs, labels):
-        self.env_id, self.inputs, self.labels = env_id, inputs, labels
-
-
 def full_objective_gradient_error(model, batches, cfg, step: int = 5, eps: float = 1e-5) -> float:
     """Max relative error between tape gradients of the training objective and
     central finite differences, over every weight, bias, and mask logit.
@@ -258,8 +254,8 @@ def _gradcheck_suites(fault: str | None):
     mcfg = ModelConfig(arch="mlp", input_shape=(1, 1, 6), classes=3, hidden=(8,))
     model = build_model(mcfg, 7)
     batches = [
-        _EnvBatch("a", rng.normal(size=(4, 1, 1, 6)), rng.integers(0, 3, size=4)),
-        _EnvBatch("b", rng.normal(size=(4, 1, 1, 6)), rng.integers(0, 3, size=4)),
+        EnvironmentBatch("a", rng.normal(size=(4, 1, 1, 6)), rng.integers(0, 3, size=4)),
+        EnvironmentBatch("b", rng.normal(size=(4, 1, 1, 6)), rng.integers(0, 3, size=4)),
     ]
     ocfg = ObjectiveConfig(base="irm", irm_lambda=10.0, irm_anneal_steps=0,
                            reg=RegWeights(alpha=0.05, beta=0.05), weight_decay=1e-3)

@@ -42,16 +42,65 @@ class MnistSet:
         return len(self.images)
 
 
+class PixelInputs:
+    """Read-only float64 rows over stored uint8 pixels of shape (N, C, H, W).
+
+    Indexing with any numpy key returns `pixels[key] / 255.0`, built only for
+    the rows asked for: the same IEEE division as
+    `pixels.astype(np.float64) / 255.0`, so every row is byte-identical to a
+    float64 store of the same pixels, at one eighth of its memory.
+    """
+
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, pixels: np.ndarray):
+        if not isinstance(pixels, np.ndarray) or pixels.dtype != np.uint8 or pixels.ndim != 4:
+            raise DataError(
+                f"pixels must be a uint8 (N, C, H, W) array, got "
+                f"{getattr(pixels, 'dtype', type(pixels).__name__)} {np.shape(pixels)}"
+            )
+        self.pixels = np.ascontiguousarray(pixels).view()
+        self.pixels.flags.writeable = False
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.pixels.shape
+
+    @property
+    def ndim(self) -> int:
+        return self.pixels.ndim
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes stored: one per pixel."""
+        return self.pixels.nbytes
+
+    def __len__(self) -> int:
+        return len(self.pixels)
+
+    def __getitem__(self, key) -> np.ndarray:
+        return self.pixels[key] / 255.0
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("PixelInputs can only be converted to an array by copying")
+        out = self.pixels / 255.0
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
 @dataclass
 class Environment:
     env_id: str
-    inputs: np.ndarray  # float64 (count, C, H, W), values in [0, 1]
+    inputs: np.ndarray | PixelInputs  # float64 (count, C, H, W) rows, values in [0, 1]
     labels: np.ndarray  # int64 (count,)
     role: str  # "train" | "test"
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.inputs)):
+        if len(self.inputs) == 0:
+            raise DataError(f"{self.env_id}: no samples")
+        # uint8 pixels are always finite
+        if not isinstance(self.inputs, PixelInputs) and not np.all(np.isfinite(self.inputs)):
             raise DataError(f"{self.env_id}: non-finite input values")
         if len(self.labels) != len(self.inputs):
             raise DataError(f"{self.env_id}: {len(self.inputs)} inputs vs {len(self.labels)} labels")
@@ -128,7 +177,8 @@ def build_colored_mnist(
     color bit = that label, flipped with the environment's prob. The digit's
     pixels land in the channel selected by the color bit; the other channel
     stays zero. The flip probability therefore IS the misalignment rate
-    between color and final label.
+    between color and final label. Inputs stay uint8 pixels behind a
+    `PixelInputs` view and are read as float64 `pixel / 255` rows.
     """
     if len(base) == 0:
         raise DataError("empty base dataset")
@@ -149,16 +199,15 @@ def build_colored_mnist(
     for i, (env_id, flip_p) in enumerate(envs):
         sl = slice(i * per, (i + 1) * per)
         digits = base.labels[sl]
-        imgs = base.images[sl].astype(np.float64) / 255.0
         y = (digits >= 5).astype(np.int64)
         y = y ^ (rng.random(per) < label_noise).astype(np.int64)
         color = y ^ (rng.random(per) < flip_p).astype(np.int64)
-        inputs = np.zeros((per, 2, h, w))
-        inputs[np.arange(per), color] = imgs
+        pixels = np.zeros((per, 2, h, w), np.uint8)
+        pixels[np.arange(per), color] = base.images[sl]
         out.append(
             Environment(
                 env_id=env_id,
-                inputs=inputs,
+                inputs=PixelInputs(pixels),
                 labels=y,
                 role=role,
                 provenance={

@@ -26,7 +26,14 @@ import pytest
 
 from modnet.artifact import analyze, export_subnetwork, load_artifact, model_from_artifact
 from modnet.cli import full_objective_gradient_error
-from modnet.data import Environment, MnistSet, build_colored_mnist, build_rotated_envs, load_mnist_set
+from modnet.data import (
+    Environment,
+    EnvironmentBatch,
+    MnistSet,
+    build_colored_mnist,
+    build_rotated_envs,
+    load_mnist_set,
+)
 from modnet.masking import MaskMode, binarize_straight_through, sample_relaxed_mask
 from modnet.models import ModelConfig, build_model
 from modnet.objectives import ObjectiveConfig
@@ -53,18 +60,13 @@ def report(capsys):
     return _report
 
 
-class _Batch:
-    def __init__(self, env_id, inputs, labels):
-        self.env_id, self.inputs, self.labels = env_id, inputs, labels
-
-
 def test_criterion_1_objective_gradients(report):
     t0 = time.monotonic()
     rng = np.random.default_rng(42)
     model = build_model(ModelConfig(arch="mlp", input_shape=(1, 1, 6), classes=3, hidden=(8,)), 7)
     batches = [
-        _Batch("a", rng.normal(size=(4, 1, 1, 6)), rng.integers(0, 3, size=4)),
-        _Batch("b", rng.normal(size=(4, 1, 1, 6)), rng.integers(0, 3, size=4)),
+        EnvironmentBatch("a", rng.normal(size=(4, 1, 1, 6)), rng.integers(0, 3, size=4)),
+        EnvironmentBatch("b", rng.normal(size=(4, 1, 1, 6)), rng.integers(0, 3, size=4)),
     ]
     cfg = ObjectiveConfig(base="irm", irm_lambda=10.0, irm_anneal_steps=0,
                           reg=RegWeights(alpha=0.05, beta=0.05), weight_decay=1e-3)

@@ -80,21 +80,21 @@ class TestColored:
     def test_color_label_agreement_rate(self):
         base = fake_mnist(10_000, seed=3)
         (env,) = D.build_colored_mnist(base, [("e", 0.1)], label_noise=0.25, seed=7)
-        color = np.argmax(env.inputs.sum(axis=(2, 3)), axis=1)
+        color = np.argmax(np.asarray(env.inputs).sum(axis=(2, 3)), axis=1)
         agree = float((color == env.labels).mean())
         assert abs(agree - 0.9) < 0.02
 
     def test_high_flip_reverses_correlation(self):
         base = fake_mnist(10_000, seed=4)
         (env,) = D.build_colored_mnist(base, [("t", 0.9)], label_noise=0.25, seed=8)
-        color = np.argmax(env.inputs.sum(axis=(2, 3)), axis=1)
+        color = np.argmax(np.asarray(env.inputs).sum(axis=(2, 3)), axis=1)
         agree = float((color == env.labels).mean())
         assert abs(agree - 0.1) < 0.02
 
     def test_exactly_one_channel_holds_pixels(self):
         base = fake_mnist(50, seed=5)
         (env,) = D.build_colored_mnist(base, [("e", 0.5)], seed=9)
-        occupied = (env.inputs.sum(axis=(2, 3)) > 0).sum(axis=1)
+        occupied = (np.asarray(env.inputs).sum(axis=(2, 3)) > 0).sum(axis=1)
         # random uint8 images are never all-zero, so exactly one channel fires
         assert np.all(occupied == 1)
 
@@ -167,6 +167,108 @@ class TestRotation:
             want = np.array([[D.rotate_image(im, angle, method) for im in group] for group in stack])
             assert out.shape == stack.shape
             assert out.tobytes() == want.tobytes()
+
+
+def float_colored(base, envs, label_noise=0.25, seed=0):
+    """Reference float64 colored inputs: float zeros plus a scatter of
+    `images / 255.0`, with the builder's random draws in the builder's order."""
+    rng = np.random.default_rng(seed)
+    per = len(base) // len(envs)
+    out = []
+    for i, (_, flip_p) in enumerate(envs):
+        sl = slice(i * per, (i + 1) * per)
+        imgs = base.images[sl].astype(np.float64) / 255.0
+        y = (base.labels[sl] >= 5).astype(np.int64)
+        y = y ^ (rng.random(per) < label_noise).astype(np.int64)
+        color = y ^ (rng.random(per) < flip_p).astype(np.int64)
+        inputs = np.zeros((per, 2) + base.images.shape[1:])
+        inputs[np.arange(per), color] = imgs
+        out.append((inputs, y))
+    return out
+
+
+class TestPixelInputs:
+    ENVS = [("a", 0.1), ("b", 0.9)]
+
+    def built(self):
+        base = fake_mnist(300, seed=12)
+        return D.build_colored_mnist(base, self.ENVS, seed=5), float_colored(base, self.ENVS, seed=5)
+
+    def test_rows_byte_equal_to_float_construction(self):
+        envs, refs = self.built()
+        for env, (ref, y) in zip(envs, refs):
+            assert isinstance(env.inputs, D.PixelInputs)
+            np.testing.assert_array_equal(env.labels, y)
+            idx = np.array([149, 0, 7, 7, 80])
+            for key in (slice(3, 40), slice(None), idx, 17, -1, (np.arange(len(env)), env.labels)):
+                got, want = env.inputs[key], ref[key]
+                assert got.dtype == np.float64 and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_whole_array_and_sizes(self):
+        envs, refs = self.built()
+        for env, (ref, _) in zip(envs, refs):
+            n = len(env)
+            arr = np.asarray(env.inputs)
+            assert arr.dtype == np.float64 and arr.flags.c_contiguous
+            assert arr.shape == env.inputs.shape == (n, 2, 28, 28)
+            assert arr.tobytes() == ref.tobytes()
+            assert env.inputs.ndim == 4 and env.inputs.dtype == np.float64
+            assert env.inputs.nbytes == n * 2 * 28 * 28
+
+    def test_batches_equal_float_construction(self):
+        envs, refs = self.built()
+        for env, (ref, y) in zip(envs, refs):
+            plain = D.Environment(env.env_id, ref, y, "train")
+            for epoch in (0, 1):
+                got = list(D.batch_iter(env, 32, seed=3, epoch=epoch))
+                want = list(D.batch_iter(plain, 32, seed=3, epoch=epoch))
+                assert len(got) == len(want) == 5
+                for a, b in zip(got, want):
+                    assert a.inputs.tobytes() == b.inputs.tobytes()
+                    np.testing.assert_array_equal(a.labels, b.labels)
+
+    def test_array_protocol(self):
+        pixels = np.arange(2 * 2 * 3 * 3, dtype=np.uint8).reshape(2, 2, 3, 3)
+        view = D.PixelInputs(pixels)
+        want = pixels.astype(np.float64) / 255.0
+        for f32 in (view.__array__(np.float32), np.asarray(view, dtype=np.float32)):
+            assert f32.dtype == np.float32
+            np.testing.assert_array_equal(f32, want.astype(np.float32))
+        np.testing.assert_array_equal(np.array(view), want)
+        with pytest.raises(ValueError):
+            view.__array__(copy=False)
+        if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+            with pytest.raises(ValueError):
+                np.asarray(view, copy=False)
+
+    def test_read_only(self):
+        pixels = np.zeros((1, 2, 2, 2), np.uint8)
+        view = D.PixelInputs(pixels)
+        with pytest.raises(TypeError):
+            view[0] = 1.0
+        with pytest.raises(ValueError):
+            view.pixels[0] = 1
+        pixels[0, 0, 0, 0] = 255  # the caller's array stays writable
+        assert view[0, 0, 0, 0] == 1.0
+
+    def test_rejects_non_uint8_or_wrong_rank(self):
+        for bad in (np.zeros((2, 2, 3, 3)), np.zeros((2, 3, 3), np.uint8), [[[[0]]]]):
+            with pytest.raises(DataError):
+                D.PixelInputs(bad)
+
+
+class TestEnvironment:
+    def test_empty_rejected(self):
+        for inputs in (np.zeros((0, 1, 1, 4)), D.PixelInputs(np.zeros((0, 2, 3, 3), np.uint8))):
+            with pytest.raises(DataError, match="no samples"):
+                D.Environment("e", inputs, np.zeros(0, np.int64), "train")
+
+    def test_non_finite_rejected(self):
+        x = np.zeros((3, 1, 1, 2))
+        x[1, 0, 0, 1] = np.nan
+        with pytest.raises(DataError, match="non-finite"):
+            D.Environment("e", x, np.zeros(3, np.int64), "train")
 
 
 class TestRotatedEnvs:
