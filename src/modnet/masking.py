@@ -125,10 +125,12 @@ def _gated_weights(param: MaskedParameter, temperature: float, rng: np.random.Ge
     Same values and gradients as multiply(w, binarize_straight_through(
     sample_relaxed_mask(l))): the weights get g * hard and the logits get the
     straight-through surrogate ((g * w) * s) * (1 - s) * (1 / temperature).
+    `hard` stays bool, a byte per gate while the tape holds it; w * hard and
+    g * hard give the bits of the float mask, -0.0 included.
     """
     w = param.weights.data
     s = _relaxed_gate(param.mask_logits.data, temperature, rng)
-    hard = _threshold(s)
+    hard = s > 0.5  # ties at exactly 0.5 break to 0, as in _threshold
     inv_tau = 1.0 / temperature
 
     def vjp_logits(g: np.ndarray) -> np.ndarray:

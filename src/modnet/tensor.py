@@ -8,6 +8,7 @@ one training step and is discarded after :meth:`Tape.backward`.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -32,7 +33,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.node_id: int | None = None
-        self._tape: Tape | None = None
+        self._tape: weakref.ref[Tape] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -75,12 +76,14 @@ class Tape:
 
     Entering the context makes this the active tape. Node ids are handles
     assigned per tape; a tensor carries the id given by the most recent tape
-    that registered it.
+    that registered it, and a weak reference to that tape, so a tensor that
+    outlives a step (a parameter) does not keep the step's tape alive.
     """
 
     def __init__(self):
         self._records: list[tuple[int, tuple[tuple[int, Callable[[Array], Array]], ...]]] = []
         self._num_nodes = 0
+        self._ref = weakref.ref(self)
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -91,9 +94,13 @@ class Tape:
         assert popped is self, "tape context exited out of order"
         return False
 
+    def _owns(self, t: Tensor) -> bool:
+        """Whether `t` was last registered on this tape."""
+        return t._tape is self._ref
+
     def _node(self, t: Tensor) -> int:
-        if t._tape is not self:
-            t._tape = self
+        if t._tape is not self._ref:
+            t._tape = self._ref
             t.node_id = self._num_nodes
             self._num_nodes += 1
         return t.node_id  # type: ignore[return-value]
@@ -108,27 +115,31 @@ class Tape:
         self._records.append((self._node(out), pulls))
 
     def backward(self, loss: Tensor) -> dict[int, Tensor]:
-        """Return {node_id: gradient} for every grad-requiring node reachable
-        from `loss`. Leaves the tape unchanged, so repeat calls give
-        bit-identical maps."""
+        """Return {node_id: gradient} for every leaf reachable from `loss`.
+
+        A leaf is a grad-requiring tensor that no op on this tape produced:
+        a parameter or an input. An op output's cotangent is dropped as soon
+        as its vjps have run, so the pass holds only the cotangents still
+        waiting for a consumer. Leaves the tape unchanged, so repeat calls
+        give bit-identical maps.
+        """
         if loss.data.shape != ():
             raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
-        if loss._tape is not self or loss.node_id is None:
+        if not self._owns(loss):
             raise ContractError("loss was not recorded on this tape")
         acc: dict[int, Array] = {loss.node_id: np.ones((), dtype=np.float64)}
         for out_id, pulls in reversed(self._records):
-            g = acc.get(out_id)
+            g = acc.pop(out_id, None)
             if g is None:
                 continue
+            # not `+=`: a vjp may hand back its incoming array itself
             for in_id, vjp in pulls:
-                contrib = vjp(g)
-                prev = acc.get(in_id)
-                acc[in_id] = contrib if prev is None else prev + contrib
+                acc[in_id] = acc[in_id] + vjp(g) if in_id in acc else vjp(g)
         return {nid: Tensor(g) for nid, g in acc.items()}
 
     def grad(self, grads: dict[int, Tensor], t: Tensor) -> Array | None:
         """Look up the gradient array for `t` in a map from :meth:`backward`."""
-        if t._tape is not self or t.node_id is None:
+        if not self._owns(t):
             return None
         g = grads.get(t.node_id)
         return None if g is None else g.data
@@ -425,38 +436,6 @@ def segment_sum(x: Tensor, segment_ids: Array, num_segments: int) -> Tensor:
     return apply_primitive(out, (x,), (lambda g: g[ids],))
 
 
-OPS: dict[str, Callable] = {
-    "add": add,
-    "subtract": subtract,
-    "multiply": multiply,
-    "scalar-multiply": scalar_multiply,
-    "matmul": matmul,
-    "transpose": transpose,
-    "conv2d": conv2d,
-    "relu": relu,
-    "sigmoid": sigmoid,
-    "square": square,
-    "sqrt": sqrt,
-    "sum": reduce_sum,
-    "mean": reduce_mean,
-    "max-pool": max_pool2x2,
-    "softmax-cross-entropy": softmax_cross_entropy,
-    "reshape": reshape,
-    "concat": concat,
-    "segment-sum": segment_sum,
-}
-
-
-def forward_op(kind: str, inputs: Sequence[Tensor], **attrs) -> Tensor:
-    """Dispatch an op by kind name. Unknown kinds are a configuration error."""
-    fn = OPS.get(kind)
-    if fn is None:
-        raise ConfigError(f"unknown op kind {kind!r}; known kinds: {', '.join(sorted(OPS))}")
-    if kind == "concat":
-        return fn(inputs, **attrs)
-    return fn(*inputs, **attrs)
-
-
 def finite_difference_check(
     f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5
 ) -> float:
@@ -473,7 +452,7 @@ def finite_difference_check(
         loss = f(x)
         if loss.data.shape != ():
             raise ContractError(f"f must return a scalar, got shape {loss.shape}")
-    if loss._tape is tape and loss.node_id is not None:
+    if tape._owns(loss):
         grads = tape.backward(loss)
         analytic = tape.grad(grads, x)
         if analytic is None:

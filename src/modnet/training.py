@@ -20,7 +20,8 @@ from .data import Environment, batch_iter
 from .errors import ConfigError, DataError, TrainingError
 from .masking import MaskMode
 from .models import Model, ModelConfig, build_model
-from .objectives import ObjectiveConfig, total_objective
+from .objectives import Breakdown, ObjectiveConfig, total_objective
+from .regularizers import GroupSpec
 from .tensor import Tape, Tensor
 
 
@@ -120,6 +121,17 @@ class TrainConfig:
 
 @dataclass
 class MetricsRow:
+    """One log row, taken after every `eval_interval`-th step and the last.
+
+    `risk`, `irm`, `l2`, `s1`, `s2` and `train_accuracy` are the logging
+    step's own `Breakdown`: values on that step's training batches (one per
+    training environment) under that step's sampled masks, before the
+    stability rescale. `irm` is unweighted; `s1` and `s2` are the penalties
+    times alpha and beta. They are single-batch figures, and an epoch's tail
+    batch can be small (8 samples for 5000 samples at batch 128). Only
+    `accuracies` (deterministic masks) cover whole environments.
+    """
+
     step: int
     risk: float
     irm: float
@@ -163,6 +175,21 @@ class _BatchStream:
             return next(self._it)
 
 
+def _train_step(cfg: TrainConfig, model: Model, specs: dict[str, GroupSpec], opt: Adam,
+                streams: list[_BatchStream], step: int, tau: float) -> Breakdown:
+    """One optimizer step. Its batches, tape and gradients are locals, so
+    they are freed on return instead of living through the next step."""
+    rng = np.random.default_rng([cfg.seed, step])
+    batches = [s.next() for s in streams]
+    with Tape() as tape:
+        loss, bd = total_objective(
+            model, batches, cfg.objective, specs, MaskMode.stochastic(tau), rng, step
+        )
+        grads = tape.backward(loss)
+    opt.step(tape, grads)
+    return bd
+
+
 def train(
     cfg: TrainConfig,
     train_envs: list[Environment],
@@ -187,15 +214,7 @@ def train(
     rows: list[MetricsRow] = []
     for step in range(cfg.steps):
         tau = temperature(step, cfg.tau0, cfg.tau_min, cfg.anneal_steps)
-        rng = np.random.default_rng([cfg.seed, step])
-        batches = [s.next() for s in streams]
-        with Tape() as tape:
-            loss, bd = total_objective(
-                model, batches, cfg.objective, specs, MaskMode.stochastic(tau), rng, step
-            )
-            grads = tape.backward(loss)
-        opt.step(tape, grads)
-
+        bd = _train_step(cfg, model, specs, opt, streams, step, tau)
         if (step + 1) % cfg.eval_interval == 0 or step == cfg.steps - 1:
             accs = {env.env_id: evaluate(model, env, cfg.batch_size) for env in all_envs}
             rows.append(

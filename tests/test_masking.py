@@ -1,4 +1,6 @@
 import copy
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,6 +214,29 @@ class TestFusedGate:
         want = run(lambda p, rng: _reference_gate(p, tau, rng)[0])
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
+
+    def test_tape_keeps_a_byte_per_hard_gate(self):
+        # the tape holds the relaxed sample (8 bytes a gate) and the bool hard
+        # mask (1 byte); values and weight gradient are those of the float mask
+        shape = (200, 500)
+        data = np.random.default_rng(6)
+        p = make_param(data.normal(size=shape), weights=data.normal(size=shape))
+        cotangent = data.normal(size=shape)
+        s = masking._relaxed_gate(p.mask_logits.data, 1.0, np.random.default_rng(8))
+        hard = masking._threshold(s)
+        gc.collect()
+        with Tape() as tape:
+            tracemalloc.start()
+            try:
+                out = masking.effective_weights(p, MaskMode.stochastic(1.0), np.random.default_rng(8))
+                held = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+            finally:
+                tracemalloc.stop()
+            grads = tape.backward(_sum(out * Tensor(cotangent)))
+        assert out.data.tobytes() == (p.weights.data * hard).tobytes()
+        assert np.signbit(out.data[hard == 0]).any()
+        assert tape.grad(grads, p.weights).tobytes() == (cotangent * hard).tobytes()
+        assert held < 9.5 * s.size
 
     def test_one_tape_node(self):
         p = make_param(np.zeros((4, 5)), weights=np.ones((4, 5)))

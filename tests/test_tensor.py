@@ -1,3 +1,7 @@
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -103,14 +107,6 @@ class TestForward:
         out = T.concat([Tensor([1.0, 2.0]), Tensor([3.0])])
         np.testing.assert_array_equal(out.data, [1.0, 2.0, 3.0])
 
-    def test_dispatch_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            T.forward_op("cholesky", [Tensor(np.eye(2))])
-
-    def test_dispatch_known_kind(self):
-        out = T.forward_op("relu", [Tensor([-1.0, 1.0])])
-        np.testing.assert_array_equal(out.data, [0.0, 1.0])
-
 
 class TestBackward:
     def test_grad_of_sum_of_squares(self):
@@ -174,6 +170,53 @@ class TestBackward:
             g2 = tape.backward(loss)
         for nid in g1:
             assert np.array_equal(g1[nid].data, g2[nid].data)
+
+    def test_backward_returns_leaf_gradients_only(self):
+        rng = np.random.default_rng(5)
+        xv, wv = rng.normal(size=(4, 5)), rng.normal(size=(5, 3))
+        x, w = Tensor(xv, requires_grad=True), Tensor(wv, requires_grad=True)
+        with Tape() as tape:
+            y = T.matmul(x, w)
+            loss = T.reduce_sum(T.square(y))
+            grads = tape.backward(loss)
+        assert set(grads) == {x.node_id, w.node_id}
+        assert tape.grad(grads, y) is None
+        gy = np.full(y.shape, 1.0) * (2.0 * (xv @ wv))
+        assert tape.grad(grads, x).tobytes() == (gy @ wv.T).tobytes()
+        assert tape.grad(grads, w).tobytes() == (xv.T @ gy).tobytes()
+
+    def test_backward_holds_only_live_cotangents(self):
+        # each op's cotangent is dropped once used, so the pass over a long
+        # chain holds about two arrays however long the chain is
+        n = 10**6
+        x = Tensor(np.ones(n), requires_grad=True)
+        with Tape() as tape:
+            y = x
+            for _ in range(20):
+                y = T.scalar_multiply(y, 1.0)
+            loss = T.reduce_sum(y)
+            del y
+            gc.collect()
+            tracemalloc.start()
+            try:
+                grads = tape.backward(loss)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert tape.grad(grads, x).tobytes() == np.ones(n).tobytes()
+        assert peak < 3 * x.data.nbytes
+
+    def test_parameter_does_not_keep_its_tape_alive(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            grads = tape.backward(T.reduce_sum(T.square(w)))
+        np.testing.assert_array_equal(tape.grad(grads, w), [2.0, 4.0])
+        ref = weakref.ref(tape)
+        del tape, grads
+        assert ref() is None
+        with Tape() as tape:
+            grads = tape.backward(T.reduce_sum(w))
+        np.testing.assert_array_equal(tape.grad(grads, w), [1.0, 1.0])
 
     def test_backward_linearity(self):
         # grad of (f + g) equals grad f + grad g, computed on separate tapes

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -234,6 +237,35 @@ class TestTrain:
             not np.allclose(l.param.mask_logits.data, LOGIT_INIT) for l in model.layers
         )
         assert moved
+
+
+class TestStepMemory:
+    def test_peak_does_not_grow_after_the_first_step(self):
+        # no step's tape, gradients or loss may live on into the next step
+        def env(i):
+            rng = np.random.default_rng(i)
+            x = rng.random((64, 2, 16, 16))
+            y = (x.sum(axis=(1, 2, 3)) > x[0].size / 2).astype(np.int64)
+            return Environment(env_id=f"e{i}", inputs=x, labels=y, role="train")
+
+        envs = [env(0), env(1)]
+        cfg = dict(
+            model=ModelConfig(arch="mlp", input_shape=(2, 16, 16), classes=2, hidden=(1024,)),
+            objective=ObjectiveConfig(base="irm", irm_lambda=10.0, irm_anneal_steps=1,
+                                      reg=RegWeights(alpha=1e-3, beta=1e-3)),
+            batch_size=32, eval_interval=1000, seed=3,
+        )
+
+        def peak(steps):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                train(TrainConfig(steps=steps, **cfg), envs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4) <= 1.05 * peak(1)
 
 
 class TestPruningPressure:
