@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, DataError, ShapeError
+from .errors import ConfigError, ContractError, DataError
 from .masking import MaskMode
 from .models import Model, l2_penalty
 from .regularizers import GroupSpec, RegWeights, reuse_penalty, specialization_penalty
@@ -45,20 +45,6 @@ def cross_entropy_risk(logits: Tensor, labels) -> Tensor:
     return T.softmax_cross_entropy(logits, labels)
 
 
-def _check_logits_labels(logits: Tensor, labels) -> np.ndarray:
-    zd = logits.data
-    if zd.ndim != 2:
-        raise ShapeError(f"expected (batch, classes) logits, got {logits.shape}")
-    lab = np.asarray(labels)
-    if lab.ndim != 1 or lab.shape[0] != zd.shape[0]:
-        raise ShapeError(f"labels shape {lab.shape} does not match batch size {zd.shape[0]}")
-    if lab.size == 0:
-        raise DataError("empty batch")
-    if lab.min() < 0 or lab.max() >= zd.shape[1]:
-        raise DataError(f"label out of range [0, {zd.shape[1]})")
-    return lab
-
-
 def risk_dummy_grad(logits: Tensor, labels) -> Tensor:
     """d/dw cross_entropy(w * logits, labels) at w = 1, as a tape op.
 
@@ -66,7 +52,7 @@ def risk_dummy_grad(logits: Tensor, labels) -> Tensor:
     The vjp in z is the closed-form second derivative: with s_n = sum_c z_c p_c,
     dD/dz_{nk} = (p_k (1 + z_k - s_n) - [k = y_n]) / N.
     """
-    lab = _check_logits_labels(logits, labels)
+    lab = T._check_logits_labels(logits, labels)
     zd = logits.data
     n = zd.shape[0]
     m = zd.max(axis=1, keepdims=True)

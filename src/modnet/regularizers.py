@@ -43,7 +43,9 @@ class GroupSpec:
     """A disjoint, covering partition of a flattened mask tensor.
 
     `groups[g]` holds flat indices (C order) of the entries that read from
-    source feature g.
+    source feature g. `dense_shape` is (rows, num_groups) when group g is
+    column g of that matrix, as for a dense layer, so the penalties can sum
+    columns directly; None otherwise.
     """
 
     def __init__(self, layer_id: str, groups: Sequence[np.ndarray]):
@@ -57,7 +59,10 @@ class GroupSpec:
         ids = np.empty(n, dtype=np.intp)
         for gi, g in enumerate(groups):
             ids[g] = gi
+        k = len(groups)
+        columns = n % k == 0 and np.array_equal(ids, np.arange(n) % k)
         self.layer_id = layer_id
+        self.dense_shape = (n // k, k) if columns else None
         self.groups = groups
         self.group_ids = ids
         self.num_entries = n
@@ -103,13 +108,21 @@ def _check_pair(probs: Mapping[str, Tensor], specs: Mapping[str, GroupSpec]) -> 
     return names
 
 
+def _grouped(p: Tensor, spec: GroupSpec) -> tuple[Tensor, np.ndarray | None]:
+    """`p` laid out for `segment_sum` by `spec`, with the ids to pass: the
+    `dense_shape` matrix, summed by columns, else the flat entries."""
+    if spec.dense_shape is not None:
+        return T.reshape(p, spec.dense_shape), None
+    return T.reshape(p, (spec.num_entries,)), spec.group_ids
+
+
 def specialization_penalty(probs: Mapping[str, Tensor], specs: Mapping[str, GroupSpec]) -> Tensor:
     """Sum over layers and groups of the squared within-group probability mass."""
     total = Tensor(0.0)
     for name in _check_pair(probs, specs):
         spec = specs[name]
-        flat = T.reshape(probs[name], (spec.num_entries,))
-        sums = T.segment_sum(flat, spec.group_ids, spec.num_groups)
+        p, ids = _grouped(probs[name], spec)
+        sums = T.segment_sum(p, ids, spec.num_groups)
         total = T.add(total, T.reduce_sum(T.square(sums)))
     return total
 
@@ -119,8 +132,8 @@ def reuse_penalty(probs: Mapping[str, Tensor], specs: Mapping[str, GroupSpec]) -
     total = Tensor(0.0)
     for name in _check_pair(probs, specs):
         spec = specs[name]
-        flat = T.reshape(probs[name], (spec.num_entries,))
-        sq_sums = T.segment_sum(T.square(flat), spec.group_ids, spec.num_groups)
+        p, ids = _grouped(probs[name], spec)
+        sq_sums = T.segment_sum(T.square(p), ids, spec.num_groups)
         total = T.add(total, T.reduce_sum(T.sqrt(T.add(sq_sums, Tensor(EPS)))))
     return total
 

@@ -19,6 +19,27 @@ Array = np.ndarray
 
 _TAPE_STACK: list["Tape"] = []
 
+# Entries per pass of the elementwise loops over parameter-sized arrays: the
+# sigmoid, the gate, the penalties' vjps and Adam. A block's temporaries
+# (128 KiB each) stay in a core's L2 cache and are reused by the allocator,
+# where whole-array temporaries stream through memory and take fresh pages
+# on every pass. On a 2-core Xeon (numpy 2.4, fastest of 40 calls) the
+# gate's noise and sigmoid over a 401k-entry layer took 6.7 ms in blocks of
+# 16384 against 12.5 ms whole, and an Adam step over the 935k parameters of
+# a 1568-256-256-2 MLP 8.7-10.0 ms against 10.3-11.5 ms whole. In one sweep
+# of block sizes that step took 16.0-17.0 ms at 2048, 10.5-10.9 ms at 16384
+# and 11.6-11.7 ms at 65536.
+_BLOCK = 16384
+
+
+def _flat_blocks(*arrays: Array):
+    """Yield matching `_BLOCK`-sized slices of the C-order flattenings of
+    same-size arrays. A C-contiguous array's slices are views, so writing
+    them writes the array."""
+    flats = [a.reshape(-1) for a in arrays]
+    for i in range(0, flats[0].size, _BLOCK):
+        yield [f[i : i + _BLOCK] for f in flats]
+
 
 def _active_tape() -> "Tape | None":
     return _TAPE_STACK[-1] if _TAPE_STACK else None
@@ -114,7 +135,7 @@ class Tape:
         out.requires_grad = True
         self._records.append((self._node(out), pulls))
 
-    def backward(self, loss: Tensor) -> dict[int, Tensor]:
+    def backward(self, loss: Tensor) -> dict[int, Array]:
         """Return {node_id: gradient} for every leaf reachable from `loss`.
 
         A leaf is a grad-requiring tensor that no op on this tape produced:
@@ -135,14 +156,11 @@ class Tape:
             # not `+=`: a vjp may hand back its incoming array itself
             for in_id, vjp in pulls:
                 acc[in_id] = acc[in_id] + vjp(g) if in_id in acc else vjp(g)
-        return {nid: Tensor(g) for nid, g in acc.items()}
+        return acc
 
-    def grad(self, grads: dict[int, Tensor], t: Tensor) -> Array | None:
+    def grad(self, grads: dict[int, Array], t: Tensor) -> Array | None:
         """Look up the gradient array for `t` in a map from :meth:`backward`."""
-        if not self._owns(t):
-            return None
-        g = grads.get(t.node_id)
-        return None if g is None else g.data
+        return grads.get(t.node_id) if self._owns(t) else None
 
 
 def apply_primitive(
@@ -227,7 +245,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor) -> Tensor:
     """x @ w.T for x (batch, in) and w (out, in): a dense layer's product.
 
-    Equal to matmul(x, transpose(w)) in value and input gradient; the weight
+    Equal to matmul(x, w.T) in value and input gradient; the weight
     gradient g.T @ x comes back C-contiguous, in w's own layout, so the
     elementwise passes over it downstream do not mix memory orders.
     """
@@ -239,31 +257,55 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     return apply_primitive(xd @ wd.T, (x, w), (lambda g: g @ wd, lambda g: g.T @ xd))
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got {a.shape}")
-    return apply_primitive(a.data.T, (a,), (lambda g: g.T,))
-
-
 def relu(x: Tensor) -> Tensor:
-    # Subgradient at exactly 0 is 0.
-    mask = x.data > 0
-    return apply_primitive(np.where(mask, x.data, 0.0), (x,), (lambda g: g * mask,))
+    # fmax maps NaN to 0 as the comparison x > 0 does, and adding +0.0 turns
+    # the -0.0 it may return into +0.0. Subgradient at exactly 0 is 0.
+    out = np.fmax(x.data, 0.0)
+    out += 0.0
+    return apply_primitive(out, (x,), (lambda g: g * (out > 0),))
+
+
+def _sigmoid_block(z: Array, out: Array) -> None:
+    """Write sigmoid(z) into `out` with one exp per entry.
+
+    1 / (1 + exp(-z)) where z >= 0 and exp(z) / (1 + exp(z)) elsewhere, so
+    neither branch overflows: min(z, -z) is -z or z exactly, and keeps the
+    sign of a NaN as exp(z) does.
+    """
+    e = np.negative(z)
+    np.minimum(z, e, out=e)
+    np.exp(e, out=e)
+    np.maximum(e, z >= 0, out=out)  # the numerator: 1 where z >= 0, else exp(z)
+    e += 1.0
+    out /= e
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    xd = x.data
-    out = np.empty_like(xd)
-    pos = xd >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-    ex = np.exp(xd[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return apply_primitive(out, (x,), (lambda g: g * out * (1.0 - out),))
+    out = np.empty(x.data.shape)
+    for zb, ob in _flat_blocks(x.data, out):
+        _sigmoid_block(zb, ob)
+
+    def vjp(g: Array) -> Array:
+        d = np.empty(out.shape)
+        for db, gb, ob in _flat_blocks(d, g, out):
+            np.multiply(gb, ob, out=db)
+            db *= 1.0 - ob
+        return d
+
+    return apply_primitive(out, (x,), (vjp,))
 
 
 def square(x: Tensor) -> Tensor:
     xd = x.data
-    return apply_primitive(xd * xd, (x,), (lambda g: g * (2.0 * xd),))
+
+    def vjp(g: Array) -> Array:
+        d = np.empty(xd.shape)
+        for db, gb, xb in _flat_blocks(d, g, xd):
+            np.multiply(xb, 2.0, out=db)
+            np.multiply(gb, db, out=db)
+        return d
+
+    return apply_primitive(xd * xd, (x,), (vjp,))
 
 
 def sqrt(x: Tensor) -> Tensor:
@@ -282,17 +324,6 @@ def reduce_sum(x: Tensor, axis: int | tuple[int, ...] | None = None) -> Tensor:
     return apply_primitive(out, (x,), (vjp,))
 
 
-def reduce_mean(x: Tensor, axis: int | tuple[int, ...] | None = None) -> Tensor:
-    xd = x.data
-    out = xd.mean(axis=axis)
-    scale = out.size / xd.size
-    if axis is None:
-        vjp = lambda g: np.full(xd.shape, g * scale)
-    else:
-        vjp = lambda g: np.broadcast_to(np.expand_dims(g * scale, axis), xd.shape).copy()
-    return apply_primitive(out, (x,), (vjp,))
-
-
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     old = x.data.shape
@@ -301,25 +332,6 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     except ValueError:
         raise ShapeError(f"reshape: cannot view {old} as {shape}") from None
     return apply_primitive(out, (x,), (lambda g: g.reshape(old),))
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not tensors:
-        raise ShapeError("concat needs at least one tensor")
-    datas = [t.data for t in tensors]
-    try:
-        out = np.concatenate(datas, axis=axis)
-    except ValueError as exc:
-        raise ShapeError(f"concat: incompatible shapes {[d.shape for d in datas]}") from None
-    offsets = np.cumsum([0] + [d.shape[axis] for d in datas])
-
-    def make_vjp(i: int):
-        sl = [slice(None)] * out.ndim
-        sl[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
-        sl_t = tuple(sl)
-        return lambda g: g[sl_t]
-
-    return apply_primitive(out, tuple(tensors), tuple(make_vjp(i) for i in range(len(datas))))
 
 
 def max_pool2x2(x: Tensor) -> Tensor:
@@ -388,25 +400,33 @@ def conv2d(x: Tensor, w: Tensor, padding: str = "valid") -> Tensor:
     return apply_primitive(out, (x, w), (vjp_x, vjp_w))
 
 
+def _check_logits_labels(logits: Tensor, labels) -> Array:
+    """Validate (batch, classes) logits against integer class labels; return
+    the labels as an array."""
+    zd = logits.data
+    if zd.ndim != 2:
+        raise ShapeError(f"expected (batch, classes) logits, got {logits.shape}")
+    lab = np.asarray(labels)
+    if lab.ndim != 1 or lab.shape[0] != zd.shape[0]:
+        raise ShapeError(f"labels shape {lab.shape} does not match batch size {zd.shape[0]}")
+    if lab.size == 0:
+        raise DataError("empty batch")
+    if not np.issubdtype(lab.dtype, np.integer):
+        raise DataError(f"labels must be integers, got dtype {lab.dtype}")
+    k = zd.shape[1]
+    if lab.min() < 0 or lab.max() >= k:
+        raise DataError(f"label out of range [0, {k}): saw {int(lab.min())}..{int(lab.max())}")
+    return lab
+
+
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     """Fused softmax + cross entropy, averaged over the batch.
 
     labels: integer array of shape (batch,); not differentiated.
     """
+    lab = _check_logits_labels(logits, labels)
     zd = logits.data
-    if zd.ndim != 2:
-        raise ShapeError(f"softmax-cross-entropy expects (batch, classes) logits, got {logits.shape}")
-    lab = np.asarray(labels)
-    if lab.ndim != 1 or lab.shape[0] != zd.shape[0]:
-        raise ShapeError(f"labels shape {lab.shape} does not match batch size {zd.shape[0]}")
-    if lab.size == 0:
-        raise DataError("softmax-cross-entropy: empty batch")
-    if not np.issubdtype(lab.dtype, np.integer):
-        raise DataError(f"labels must be integers, got dtype {lab.dtype}")
-    n, k = zd.shape
-    if lab.min() < 0 or lab.max() >= k:
-        raise DataError(f"label out of range [0, {k}): saw {int(lab.min())}..{int(lab.max())}")
-
+    n = zd.shape[0]
     m = zd.max(axis=1, keepdims=True)
     ex = np.exp(zd - m)
     denom = ex.sum(axis=1, keepdims=True)
@@ -422,17 +442,32 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     return apply_primitive(np.asarray(out), (logits,), (vjp,))
 
 
-def segment_sum(x: Tensor, segment_ids: Array, num_segments: int) -> Tensor:
-    """Sum the entries of a 1-D tensor into `num_segments` buckets."""
+def segment_sum(x: Tensor, segment_ids: Array | None, num_segments: int) -> Tensor:
+    """Sum the entries of a 1-D tensor into `num_segments` buckets.
+
+    With `segment_ids` None, `x` is (rows, num_segments) and bucket j is
+    column j. The rows are then added in order, starting from +0.0, as
+    bincount adds them for the ids of that layout, in one pass and without
+    a scatter or a gather.
+    """
     xd = x.data
-    if xd.ndim != 1:
+    if segment_ids is None:
+        if xd.ndim != 2 or xd.shape[1] != num_segments:
+            raise ShapeError(f"segment-sum by columns expects (rows, {num_segments}), got {x.shape}")
+        if num_segments > 1:
+            shape = xd.shape
+            out = np.add.reduce(xd, axis=0, initial=0.0)
+            return apply_primitive(out, (x,), (lambda g: np.broadcast_to(g, shape).copy(),))
+        # numpy sums a lone column pairwise, not in order
+        segment_ids = np.zeros(xd.shape, dtype=np.intp)
+    elif xd.ndim != 1:
         raise ShapeError(f"segment-sum expects a 1-D tensor, got {x.shape}")
     ids = np.asarray(segment_ids)
     if ids.shape != xd.shape:
         raise ContractError(f"segment ids shape {ids.shape} does not match tensor shape {xd.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= num_segments):
         raise ContractError(f"segment id out of range [0, {num_segments})")
-    out = np.bincount(ids, weights=xd, minlength=num_segments)
+    out = np.bincount(ids.reshape(-1), weights=xd.reshape(-1), minlength=num_segments)
     return apply_primitive(out, (x,), (lambda g: g[ids],))
 
 

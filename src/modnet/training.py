@@ -22,13 +22,14 @@ from .masking import MaskMode
 from .models import Model, ModelConfig, build_model
 from .objectives import Breakdown, ObjectiveConfig, total_objective
 from .regularizers import GroupSpec
-from .tensor import Tape, Tensor
+from .tensor import _BLOCK, Tape, Tensor, _flat_blocks
 
 
 class Adam:
-    """Standard Adam over named tensors. Updates are written back into each
-    tensor's data as a fresh array (old arrays stay valid on live tapes); the
-    moments are updated in place."""
+    """Standard Adam over named tensors. Updates are written into a fresh
+    array for each tensor's data (old arrays stay valid on live tapes); the
+    moments are updated in place. Both run block by block, through one
+    block-sized scratch buffer."""
 
     def __init__(self, named_params, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -40,10 +41,10 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(t.data) for name, t in self.params}
-        self.v = {name: np.zeros_like(t.data) for name, t in self.params}
-        # one buffer for every parameter's temporaries, viewed at its shape
-        self._scratch = np.empty(max((t.data.size for _, t in self.params), default=0))
+        # C order, so the blocks written below are views of the moments
+        self.m = {name: np.zeros(t.data.shape) for name, t in self.params}
+        self.v = {name: np.zeros(t.data.shape) for name, t in self.params}
+        self._scratch = np.empty(_BLOCK)
 
     def step(self, tape: Tape, grads: dict) -> None:
         self.t += 1
@@ -59,22 +60,24 @@ class Adam:
             # m = beta1 * m + (1 - beta1) * g
             # v = beta2 * v + (1 - beta2) * g * g
             # data = data - lr * (m / b1c) / (sqrt(v / b2c) + eps)
-            m, v = self.m[name], self.v[name]
-            buf = self._scratch[: m.size].reshape(m.shape)
-            np.multiply(m, self.beta1, out=m)
-            np.multiply(g, 1.0 - self.beta1, out=buf)
-            m += buf
-            np.multiply(v, self.beta2, out=v)
-            np.multiply(g, 1.0 - self.beta2, out=buf)
-            buf *= g
-            v += buf
-            np.divide(v, b2c, out=buf)
-            np.sqrt(buf, out=buf)
-            buf += self.eps
-            update = np.divide(m, b1c, out=np.empty_like(m))
-            update *= self.lr
-            update /= buf
-            tensor.data = np.subtract(tensor.data, update, out=update)
+            data = np.empty(tensor.data.shape)
+            for db, pb, gb, mb, vb in _flat_blocks(data, tensor.data, g, self.m[name], self.v[name]):
+                buf = self._scratch[: db.size]
+                np.multiply(mb, self.beta1, out=mb)
+                np.multiply(gb, 1.0 - self.beta1, out=buf)
+                mb += buf
+                np.multiply(vb, self.beta2, out=vb)
+                np.multiply(gb, 1.0 - self.beta2, out=buf)
+                buf *= gb
+                vb += buf
+                np.divide(vb, b2c, out=buf)
+                np.sqrt(buf, out=buf)
+                buf += self.eps
+                np.divide(mb, b1c, out=db)
+                db *= self.lr
+                db /= buf
+                np.subtract(pb, db, out=db)
+            tensor.data = data
 
 
 def temperature(step: int, tau0: float, tau_min: float, anneal_steps: int) -> float:

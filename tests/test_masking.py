@@ -5,7 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import _reference as ref
 from modnet import masking
+from modnet import tensor as T
 from modnet.errors import ConfigError, ContractError
 from modnet.masking import MaskedParameter, MaskMode
 from modnet.tensor import Tape, Tensor
@@ -157,12 +159,11 @@ class TestEffectiveWeights:
 
 def _reference_gate(param, temperature, rng):
     """The five-node tape chain the fused gate replaces:
-    add -> scalar_multiply -> sigmoid -> binarize_straight_through -> multiply."""
-    from modnet import tensor as T
-
+    add -> scalar_multiply -> sigmoid -> binarize_straight_through -> multiply,
+    with the noise clipped by np.clip and the boolean-index sigmoid."""
     u = np.clip(rng.uniform(size=param.mask_logits.shape), 1e-12, 1.0 - 1e-12)
     noise = np.log(u) - np.log1p(-u)
-    relaxed = T.sigmoid(T.scalar_multiply(T.add(param.mask_logits, Tensor(noise)), 1.0 / temperature))
+    relaxed = ref.sigmoid(T.scalar_multiply(T.add(param.mask_logits, Tensor(noise)), 1.0 / temperature))
     hard = T.apply_primitive((relaxed.data > 0.5).astype(np.float64), (relaxed,), (lambda g: g,))
     return relaxed, T.multiply(param.weights, hard)
 
@@ -237,6 +238,20 @@ class TestFusedGate:
         assert np.signbit(out.data[hard == 0]).any()
         assert tape.grad(grads, p.weights).tobytes() == (cotangent * hard).tobytes()
         assert held < 9.5 * s.size
+
+    @pytest.mark.parametrize("tau", [5.0, 0.1])
+    def test_sample_matches_clip_form_at_the_ends_of_the_draw(self, tau):
+        class Draws:  # a generator whose uniform draws include 0 and the top of [0, 1)
+            def uniform(self, size):
+                u = np.random.default_rng(3).uniform(size=size)
+                u.flat[:4] = (0.0, 1e-13, 1.0 - 1e-13, np.nextafter(1.0, 0.0))
+                u.flat[-4:] = u.flat[:4]
+                return u
+
+        logits = np.random.default_rng(4).normal(0.0, 3.0, size=3 * T._BLOCK + 123)
+        logits[:2] = (-80.0, 80.0)
+        got = masking._relaxed_gate(logits, tau, Draws())
+        assert got.tobytes() == ref.relaxed_gate(logits, tau, Draws()).tobytes()
 
     def test_one_tape_node(self):
         p = make_param(np.zeros((4, 5)), weights=np.ones((4, 5)))

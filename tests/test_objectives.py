@@ -59,6 +59,16 @@ class TestRisk:
 
 
 class TestDummyGrad:
+    def test_float_labels_raise_data_error_like_the_risk(self):
+        z = Tensor([[0.5, -0.5], [1.0, 2.0]])
+        labels = np.array([0.0, 1.0])
+        with pytest.raises(DataError, match="integers"):
+            O.cross_entropy_risk(z, labels)
+        with pytest.raises(DataError, match="integers"):
+            O.risk_dummy_grad(z, labels)
+        with pytest.raises(DataError, match="integers"):
+            O.irm_penalty([(z, labels)])
+
     def test_worked_example(self):
         d = O.risk_dummy_grad(Tensor([[1.0, 0.0]]), np.array([0]))
         np.testing.assert_allclose(d.item(), -0.268941, atol=1e-6)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import _reference as ref
 from modnet import regularizers as R
 from modnet import tensor as T
 from modnet.errors import ConfigError, ContractError
@@ -139,6 +140,15 @@ class TestStructure:
         with pytest.raises(ContractError):
             R.build_group_spec_dense_blocks(2, 6, 4)
 
+    def test_dense_shape_marks_column_groups_only(self):
+        assert R.build_group_spec_dense(2, 3).dense_shape == (2, 3)
+        assert R.build_group_spec_dense(1, 7).dense_shape == (1, 7)
+        assert R.build_group_spec_conv(4, 2, 1, 1).dense_shape == (4, 2)  # a 1x1 kernel's groups are columns
+        assert R.build_group_spec_conv(4, 2, 3, 3).dense_shape is None
+        assert R.build_group_spec_dense_blocks(2, 6, 3).dense_shape is None
+        # ids 0, 1, 0, 1, 0 repeat like columns but fill no whole last row
+        assert GroupSpec("l0", [np.array([0, 2, 4]), np.array([1, 3])]).dense_shape is None
+
     def test_partition_validation(self):
         with pytest.raises(ContractError):
             GroupSpec("bad", [np.array([0, 1]), np.array([1, 2])])  # overlap
@@ -211,3 +221,31 @@ class TestProperties:
 
         x = Tensor(rng.uniform(-2, 2, size=(3, 4)))
         assert finite_difference_check(f, x) < 1e-4
+
+
+class TestColumnSums:
+    """A dense spec's penalties sum columns; they give the bytes that
+    segment_sum's bincount gives for the same groups."""
+
+    @pytest.mark.parametrize("shape", [(256, 1568), (2, 256), (1, 7), (300, 1)])
+    def test_values_and_logit_gradients_match_bincount(self, shape, monkeypatch):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        logits = rng.normal(0.0, 4.0, size=shape)
+        spec = R.build_group_spec_dense(*shape, layer_id="l0")
+        assert spec.dense_shape == shape
+
+        def run(penalty):
+            l = Tensor(logits, requires_grad=True)
+            with T.Tape() as tape:
+                value = penalty({"l0": T.sigmoid(l)}, {"l0": spec})
+                grads = tape.backward(value)
+            return value.data, tape.grad(grads, l)
+
+        for penalty in (R.specialization_penalty, R.reuse_penalty):
+            got = run(penalty)
+            with monkeypatch.context() as mp:
+                mp.setattr(R, "_grouped", ref.grouped)
+                mp.setattr(T, "segment_sum", ref.segment_sum)
+                want = run(penalty)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()

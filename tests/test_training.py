@@ -4,6 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import _reference as ref
+from modnet import masking
+from modnet import regularizers as R
 from modnet import tensor as T
 from modnet import training as TR
 from modnet.data import Environment
@@ -120,6 +123,70 @@ class TestAdam:
                 assert opt.m[name].tobytes() == m.tobytes() and opt.v[name].tobytes() == v.tobytes()
                 assert not np.shares_memory(opt.m[name], t.data)
                 assert not np.shares_memory(opt.v[name], t.data)
+
+
+class TestBlockedAdam:
+    SHAPES = {"wide": (3 * T._BLOCK + 77,), "dense": (130, 200), "bias": (7,), "scalar": ()}
+
+    def params(self):
+        rng = np.random.default_rng(41)
+        return [(name, Tensor(rng.normal(size=shape), requires_grad=True)) for name, shape in self.SHAPES.items()]
+
+    def test_matches_whole_array_sequence_over_three_steps(self):
+        ps, ref_ps = self.params(), self.params()
+        opt, ref_opt = Adam(ps, lr=0.01), Adam(ref_ps, lr=0.01)
+        for _ in range(3):
+            for params, step in ((ps, opt.step), (ref_ps, lambda tape, grads: ref.adam_step(ref_opt, tape, grads))):
+                with Tape() as tape:
+                    loss = Tensor(0.0)
+                    for _, t in params:  # gradient 3 t^2: changes every step
+                        loss = T.add(loss, T.reduce_sum(T.multiply(T.square(t), t)))
+                    grads = tape.backward(loss)
+                step(tape, grads)
+            for (name, t), (_, r) in zip(ps, ref_ps):
+                assert t.data.tobytes() == r.data.tobytes()
+                assert opt.m[name].tobytes() == ref_opt.m[name].tobytes()
+                assert opt.v[name].tobytes() == ref_opt.v[name].tobytes()
+
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    def test_nonfinite_gradient_in_a_later_block_touches_nothing(self):
+        w = Tensor(np.ones(3 * T._BLOCK + 5), requires_grad=True)
+        opt = Adam([("w", w)], lr=0.1)
+        with Tape() as tape:
+            grads = tape.backward(T.reduce_sum(T.square(w)))
+        opt.step(tape, grads)
+        w.data[-1] = 0.0
+        before = [a.copy() for a in (w.data, opt.m["w"], opt.v["w"])]
+        with Tape() as tape:
+            grads = tape.backward(T.reduce_sum(T.sqrt(w)))  # d sqrt at 0 = inf, in the tail block
+        with pytest.raises(TrainingError, match="'w'"):
+            opt.step(tape, grads)
+        for a, b in zip((w.data, opt.m["w"], opt.v["w"]), before):
+            assert a.tobytes() == b.tobytes()
+
+
+class TestFastFormsInTraining:
+    def test_irm_with_both_penalties_matches_reference_forms(self, monkeypatch):
+        cfg = small_cfg(
+            # 1100 x 16 gates span two blocks of the elementwise passes
+            model=ModelConfig(arch="mlp", input_shape=(1, 4, 4), classes=2, hidden=(1100,)),
+            objective=ObjectiveConfig(base="irm", irm_lambda=10.0, irm_anneal_steps=6,
+                                      reg=RegWeights(alpha=1e-3, beta=1e-3)),
+            steps=12, eval_interval=6,
+        )
+        envs = [synth_env("e0", 64, 1), synth_env("e1", 64, 2)]
+        fast, fast_rows = train(cfg, envs)
+        with monkeypatch.context() as mp:
+            for name in ("sigmoid", "relu", "square", "segment_sum"):
+                mp.setattr(T, name, getattr(ref, name))
+            mp.setattr(R, "_grouped", ref.grouped)
+            mp.setattr(masking, "_relaxed_gate", ref.relaxed_gate)
+            mp.setattr(Adam, "step", ref.adam_step)
+            slow, slow_rows = train(cfg, envs)
+        assert [n for n, _ in fast.named_parameters()] == [n for n, _ in slow.named_parameters()]
+        for (name, a), (_, b) in zip(fast.named_parameters(), slow.named_parameters()):
+            assert a.data.tobytes() == b.data.tobytes(), name
+        assert fast_rows == slow_rows
 
 
 class TestTemperature:
