@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensor as T
-from .artifact import analyze, dot_export, load_artifact, load_subnetwork
+from .artifact import analyze, atomic_open, dot_export, load_artifact, load_subnetwork
+from .checks import gradcheck_suites
 from .config import (
     apply_overrides,
     build_environments,
@@ -21,7 +21,6 @@ from .config import (
     render_config,
     resolve_train_config,
 )
-from .data import EnvironmentBatch
 from .errors import (
     ConfigError,
     ContractError,
@@ -31,11 +30,6 @@ from .errors import (
     SizeLimitError,
     TrainingError,
 )
-from .masking import MaskMode
-from .models import ModelConfig, build_model
-from .objectives import ObjectiveConfig, irm_penalty, risk_dummy_grad, total_objective
-from .regularizers import RegWeights, reuse_penalty, specialization_penalty
-from .tensor import Tape, Tensor, finite_difference_check
 from .training import evaluate, train
 
 EXIT_OK = 0
@@ -106,7 +100,8 @@ def cmd_train(args) -> int:
     train_envs, eval_envs = build_environments(raw, cfg.seed)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "resolved.cfg").write_text(render_config(raw))
+    with atomic_open(out / "resolved.cfg") as fh:
+        fh.write(render_config(raw))
     model, rows = train(cfg, train_envs, eval_envs)
     last = rows[-1]
     print(f"finished {cfg.steps} steps (seed {cfg.seed}, objective {cfg.objective.base})")
@@ -150,121 +145,14 @@ def cmd_analyze(args) -> int:
         )
     if args.dot:
         text = dot_export(artifact, max_units=args.max_units)
-        Path(args.dot).write_text(text)
+        with atomic_open(args.dot) as fh:
+            fh.write(text)
         print(f"wrote {args.dot}")
     return EXIT_OK
 
 
-def full_objective_gradient_error(model, batches, cfg, step: int = 5, eps: float = 1e-5) -> float:
-    """Max relative error between tape gradients of the training objective and
-    central finite differences, over every weight, bias, and mask logit.
-
-    Deterministic masks keep every term smooth: logits far from 0 (they start
-    at LOGIT_INIT) never flip under an eps-sized nudge, so the hard gate is
-    locally constant and the penalties carry the logit gradient.
-    """
-    mode = MaskMode.deterministic()
-    specs = model.collect_group_specs()
-
-    def value() -> float:
-        loss, _ = total_objective(model, batches, cfg, specs, mode, None, step)
-        return loss.item()
-
-    with Tape() as tape:
-        loss, _ = total_objective(model, batches, cfg, specs, mode, None, step)
-    grads = tape.backward(loss)
-    worst = 0.0
-    for _, tensor in model.named_parameters():
-        analytic = tape.grad(grads, tensor)
-        fa = np.zeros(tensor.size) if analytic is None else analytic.reshape(-1)
-        flat = tensor.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            up = value()
-            flat[i] = orig - eps
-            down = value()
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * eps)
-            worst = max(worst, abs(fa[i] - numeric) / max(1.0, abs(fa[i])))
-    return worst
-
-
-def _gradcheck_suites(fault: str | None):
-    """(name, max_error) pairs for every suite, smallest useful sizes."""
-    rng = np.random.default_rng(1234)
-    out = []
-
-    # core ops under compositions that exercise each backward rule
-    op_errs = []
-    b = rng.uniform(-2, 2, size=(5, 3))
-    op_errs.append(finite_difference_check(
-        lambda t: T.reduce_sum(T.square(T.matmul(t, Tensor(b)))), Tensor(rng.uniform(-2, 2, size=(4, 5)))))
-    w = rng.uniform(-1, 1, size=(3, 2, 3, 3))
-    op_errs.append(finite_difference_check(
-        lambda t: T.reduce_sum(T.square(T.conv2d(t, Tensor(w), padding="same"))),
-        Tensor(rng.uniform(-1, 1, size=(2, 2, 6, 6)))))
-    op_errs.append(finite_difference_check(
-        lambda t: T.reduce_sum(T.sigmoid(t)), Tensor(rng.uniform(-2, 2, size=7))))
-    y = rng.integers(0, 3, size=4)
-    op_errs.append(finite_difference_check(
-        lambda t: T.softmax_cross_entropy(t, y), Tensor(rng.uniform(-2, 2, size=(4, 3)))))
-    out.append(("tensor ops", max(op_errs)))
-
-    # S1 through the probability map
-    from .regularizers import build_group_spec_dense
-
-    spec = {"l": build_group_spec_dense(4, 5, "l")}
-    out.append((
-        "specialization penalty (S1)",
-        finite_difference_check(
-            lambda t: specialization_penalty({"l": T.sigmoid(t)}, spec),
-            Tensor(rng.uniform(-2, 2, size=(4, 5))),
-        ),
-    ))
-
-    # S2, optionally with the sign-flip fault hook
-    def s2(t: Tensor) -> Tensor:
-        pen = reuse_penalty({"l": T.sigmoid(t)}, spec)
-        if fault == "s2-sign":
-            return T.apply_primitive(pen.data, (pen,), (lambda g: -g,))
-        return pen
-
-    out.append(("reuse penalty (S2)", finite_difference_check(s2, Tensor(rng.uniform(-2, 2, size=(4, 5))))))
-
-    # invariance penalty: analytic forward against fd in the dummy scalar,
-    # plus analytic logits-gradient against fd
-    z = rng.normal(size=(6, 3))
-    yl = rng.integers(0, 3, size=6)
-    eps = 1e-6
-
-    def ce_w(wv: float) -> float:
-        zw = wv * z
-        m = zw.max(axis=1, keepdims=True)
-        lse = m[:, 0] + np.log(np.exp(zw - m).sum(axis=1))
-        return float((lse - zw[np.arange(6), yl]).mean())
-
-    analytic = risk_dummy_grad(Tensor(z), yl).item()
-    numeric = (ce_w(1 + eps) - ce_w(1 - eps)) / (2 * eps)
-    fwd_err = abs(analytic - numeric) / max(1.0, abs(analytic))
-    grad_err = finite_difference_check(lambda t: irm_penalty([(t, yl)]), Tensor(z.copy()))
-    out.append(("invariance penalty", max(fwd_err, grad_err)))
-
-    # the full objective on a small masked net, deterministic masks
-    mcfg = ModelConfig(arch="mlp", input_shape=(1, 1, 6), classes=3, hidden=(8,))
-    model = build_model(mcfg, 7)
-    batches = [
-        EnvironmentBatch("a", rng.normal(size=(4, 1, 1, 6)), rng.integers(0, 3, size=4)),
-        EnvironmentBatch("b", rng.normal(size=(4, 1, 1, 6)), rng.integers(0, 3, size=4)),
-    ]
-    ocfg = ObjectiveConfig(base="irm", irm_lambda=10.0, irm_anneal_steps=0,
-                           reg=RegWeights(alpha=0.05, beta=0.05), weight_decay=1e-3)
-    out.append(("full objective", full_objective_gradient_error(model, batches, ocfg)))
-    return out
-
-
 def cmd_gradcheck(args) -> int:
-    results = _gradcheck_suites(args.inject_fault)
+    results = gradcheck_suites(args.inject_fault)
     failures = []
     for name, err in results:
         status = "ok" if err < args.tolerance else "FAILED"

@@ -9,7 +9,7 @@ the logits. At extraction time the mask is the deterministic l > 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,25 +42,22 @@ class MaskedParameter:
 
 @dataclass(frozen=True)
 class MaskMode:
-    """How masks are realized in a forward pass."""
+    """How masks are realized in a forward pass: sampled at `temperature`,
+    or the deterministic l > 0 when it is None."""
 
-    kind: str
-    temperature: float | None = None
+    temperature: float | None
+
+    def __post_init__(self):
+        if self.temperature is not None and not self.temperature > 0:
+            raise ConfigError(f"temperature must be positive, got {self.temperature}")
 
     @classmethod
     def stochastic(cls, temperature: float) -> "MaskMode":
-        if not temperature > 0:
-            raise ConfigError(f"temperature must be positive, got {temperature}")
-        return cls("stochastic", float(temperature))
+        return cls(float(temperature))
 
     @classmethod
     def deterministic(cls) -> "MaskMode":
-        return cls("deterministic")
-
-
-def mask_probability(logits: Tensor) -> Tensor:
-    """Per-entry keep probability, differentiable in the logits."""
-    return T.sigmoid(logits)
+        return cls(None)
 
 
 def _relaxed_gate(logits: np.ndarray, temperature: float, rng: np.random.Generator) -> np.ndarray:
@@ -139,14 +136,12 @@ def effective_weights(param: MaskedParameter, mode: MaskMode, rng: np.random.Gen
     supplies the rng and decides how often to resample. Deterministic mode
     applies l > 0 and never touches an rng.
     """
-    if mode.kind == "deterministic":
+    if mode.temperature is None:
         mask = Tensor((param.mask_logits.data > 0).astype(np.float64))
         return T.multiply(param.weights, mask)
-    if mode.kind == "stochastic":
-        if rng is None:
-            raise ContractError("stochastic masking requires an rng")
-        return _gated_weights(param, mode.temperature, rng)
-    raise ConfigError(f"unknown mask mode {mode.kind!r}")
+    if rng is None:
+        raise ContractError("stochastic masking requires an rng")
+    return _gated_weights(param, mode.temperature, rng)
 
 
 def extract_final_mask(param: MaskedParameter) -> np.ndarray:

@@ -9,7 +9,7 @@ several batches via `effective_parameters` + `apply_with`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,9 +91,8 @@ class Model:
         return out
 
     def mask_probabilities(self) -> dict[str, Tensor]:
-        from .masking import mask_probability
-
-        return {layer.param.name: mask_probability(layer.param.mask_logits) for layer in self.layers}
+        """Per-entry keep probabilities sigmoid(l), differentiable in the logits."""
+        return {layer.param.name: T.sigmoid(layer.param.mask_logits) for layer in self.layers}
 
     def effective_parameters(self, mode: MaskMode, rng: np.random.Generator | None = None) -> dict[str, Tensor]:
         """Realize every layer's masked weights once.
@@ -102,7 +101,7 @@ class Model:
         the draw for layer k does not depend on other layers' shapes.
         """
         streams: list = [None] * len(self.layers)
-        if mode.kind == "stochastic":
+        if mode.temperature is not None:
             if rng is None:
                 raise ContractError("stochastic masking requires an rng")
             streams = rng.spawn(len(self.layers))

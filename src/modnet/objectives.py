@@ -41,10 +41,6 @@ class ObjectiveConfig:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
-def cross_entropy_risk(logits: Tensor, labels) -> Tensor:
-    return T.softmax_cross_entropy(logits, labels)
-
-
 def risk_dummy_grad(logits: Tensor, labels) -> Tensor:
     """d/dw cross_entropy(w * logits, labels) at w = 1, as a tape op.
 
@@ -126,7 +122,7 @@ def total_objective(
         logits = model.apply_with(effs, Tensor(b.inputs))
         env_logits.append((b.env_id, logits, np.asarray(b.labels)))
 
-    risks = [(cross_entropy_risk(logits, lab), lab.shape[0]) for _, logits, lab in env_logits]
+    risks = [(T.softmax_cross_entropy(logits, lab), lab.shape[0]) for _, logits, lab in env_logits]
     if cfg.base == "erm":
         # pooled risk: per-environment means recombined by sample count
         total_n = sum(n for _, n in risks)

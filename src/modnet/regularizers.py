@@ -15,7 +15,7 @@ Both are computed on probabilities, never on sampled masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -42,39 +42,33 @@ class RegWeights:
 class GroupSpec:
     """A disjoint, covering partition of a flattened mask tensor.
 
-    `groups[g]` holds flat indices (C order) of the entries that read from
-    source feature g. `dense_shape` is (rows, num_groups) when group g is
-    column g of that matrix, as for a dense layer, so the penalties can sum
-    columns directly; None otherwise.
+    `group_ids[e]` is the source feature g that flat entry e (C order) reads
+    from, for g in [0, num_groups). `dense_shape` is (rows, num_groups) when
+    group g is column g of that matrix, as for a dense layer, so the
+    penalties can sum columns directly; None otherwise.
     """
 
-    def __init__(self, layer_id: str, groups: Sequence[np.ndarray]):
-        groups = [np.asarray(g, dtype=np.intp).reshape(-1) for g in groups]
-        if not groups:
-            raise ContractError(f"{layer_id}: group spec needs at least one group")
-        flat = np.concatenate(groups)
-        n = flat.size
-        if not np.array_equal(np.sort(flat), np.arange(n)):
-            raise ContractError(f"{layer_id}: groups must partition indices 0..{n - 1} exactly once")
-        ids = np.empty(n, dtype=np.intp)
-        for gi, g in enumerate(groups):
-            ids[g] = gi
-        k = len(groups)
+    def __init__(self, layer_id: str, group_ids: np.ndarray, num_groups: int):
+        ids = np.asarray(group_ids)
+        if ids.ndim != 1 or ids.size == 0 or ids.dtype.kind not in "iu":
+            raise ContractError(f"{layer_id}: group ids must be a non-empty 1-D integer array")
+        if num_groups < 1 or ids.min() < 0 or ids.max() >= num_groups:
+            raise ContractError(f"{layer_id}: group ids must lie in [0, {num_groups})")
+        ids = ids.astype(np.intp, copy=False)
+        n, k = ids.size, num_groups
         columns = n % k == 0 and np.array_equal(ids, np.arange(n) % k)
         self.layer_id = layer_id
         self.dense_shape = (n // k, k) if columns else None
-        self.groups = groups
         self.group_ids = ids
         self.num_entries = n
-        self.num_groups = len(groups)
+        self.num_groups = k
 
 
 def build_group_spec_dense(out_dim: int, in_dim: int, layer_id: str = "") -> GroupSpec:
     """Columns of an (out, in) weight matrix: one group per input feature."""
     if out_dim < 1 or in_dim < 1:
         raise ContractError(f"{layer_id}: dense dims must be >= 1, got ({out_dim}, {in_dim})")
-    idx = np.arange(out_dim * in_dim).reshape(out_dim, in_dim)
-    return GroupSpec(layer_id, [idx[:, i] for i in range(in_dim)])
+    return GroupSpec(layer_id, np.tile(np.arange(in_dim), out_dim), in_dim)
 
 
 def build_group_spec_dense_blocks(out_dim: int, in_dim: int, num_blocks: int, layer_id: str = "") -> GroupSpec:
@@ -82,9 +76,8 @@ def build_group_spec_dense_blocks(out_dim: int, in_dim: int, num_blocks: int, la
     flattened (blocks, rest) tensor: one group per block."""
     if num_blocks < 1 or in_dim % num_blocks:
         raise ContractError(f"{layer_id}: cannot split {in_dim} inputs into {num_blocks} equal blocks")
-    width = in_dim // num_blocks
-    idx = np.arange(out_dim * in_dim).reshape(out_dim, in_dim)
-    return GroupSpec(layer_id, [idx[:, b * width : (b + 1) * width].reshape(-1) for b in range(num_blocks)])
+    row = np.repeat(np.arange(num_blocks), in_dim // num_blocks)
+    return GroupSpec(layer_id, np.tile(row, out_dim), num_blocks)
 
 
 def build_group_spec_conv(out_ch: int, in_ch: int, kh: int, kw: int, layer_id: str = "") -> GroupSpec:
@@ -92,8 +85,8 @@ def build_group_spec_conv(out_ch: int, in_ch: int, kh: int, kw: int, layer_id: s
     kernel entry that reads it."""
     if min(out_ch, in_ch, kh, kw) < 1:
         raise ContractError(f"{layer_id}: conv dims must be >= 1, got ({out_ch}, {in_ch}, {kh}, {kw})")
-    idx = np.arange(out_ch * in_ch * kh * kw).reshape(out_ch, in_ch, kh, kw)
-    return GroupSpec(layer_id, [idx[:, c].reshape(-1) for c in range(in_ch)])
+    filt = np.repeat(np.arange(in_ch), kh * kw)
+    return GroupSpec(layer_id, np.tile(filt, out_ch), in_ch)
 
 
 def _check_pair(probs: Mapping[str, Tensor], specs: Mapping[str, GroupSpec]) -> list[str]:

@@ -47,15 +47,19 @@ class Adam:
         self._scratch = np.empty(_BLOCK)
 
     def step(self, tape: Tape, grads: dict) -> None:
+        """One update of every parameter. Every gradient is checked before
+        anything changes, so a non-finite one leaves the optimizer and the
+        parameters as they were."""
+        named = [(name, tensor, tape.grad(grads, tensor)) for name, tensor in self.params]
+        for name, _, g in named:
+            if g is not None and not np.all(np.isfinite(g)):
+                raise TrainingError(f"non-finite gradient for parameter {name!r} at step {self.t + 1}")
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for name, tensor in self.params:
-            g = tape.grad(grads, tensor)
+        for name, tensor, g in named:
             if g is None:
                 g = np.zeros_like(tensor.data)
-            elif not np.all(np.isfinite(g)):
-                raise TrainingError(f"non-finite gradient for parameter {name!r} at step {self.t}")
             # the arithmetic, operation for operation, of
             # m = beta1 * m + (1 - beta1) * g
             # v = beta2 * v + (1 - beta2) * g * g

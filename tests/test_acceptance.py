@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from modnet.artifact import analyze, export_subnetwork, load_artifact, model_from_artifact
-from modnet.cli import full_objective_gradient_error
+from modnet.checks import full_objective_gradient_error
 from modnet.data import (
     Environment,
     EnvironmentBatch,

@@ -5,6 +5,7 @@ import configparser
 import numpy as np
 import pytest
 
+from modnet import artifact as A
 from modnet import config as C
 from modnet.artifact import export_subnetwork
 from modnet.cli import main
@@ -178,6 +179,20 @@ class TestCliTrain:
         echoed = (out / "resolved.cfg").read_text()
         assert "steps = 15" in echoed
 
+    def test_resolved_cfg_write_is_atomic(self, cmnist_cfg, monkeypatch):
+        cfg_path, out = cmnist_cfg
+        out.mkdir()
+        (out / "resolved.cfg").write_text("previous")
+
+        def boom(*args):
+            raise RuntimeError("replace failed")
+
+        monkeypatch.setattr(A.os, "replace", boom)
+        with pytest.raises(RuntimeError):
+            main(["train", "--config", cfg_path])
+        assert (out / "resolved.cfg").read_text() == "previous"
+        assert os.listdir(out) == ["resolved.cfg"]
+
     def test_train_requires_out_dir(self, capsys):
         rc = main(["train", "--set", "data.kind=colored"])
         assert rc == 2
@@ -245,6 +260,21 @@ class TestCliEvalAnalyze:
         assert "dense0: density" in out
         assert "pruned sources" in out
         assert dot.read_text().startswith("digraph")
+
+    def test_dot_write_is_atomic(self, trained, tmp_path, monkeypatch):
+        _, artifact = trained
+        dots = tmp_path / "dots"
+        dots.mkdir()
+        (dots / "g.dot").write_text("previous")
+
+        def boom(*args):
+            raise RuntimeError("replace failed")
+
+        monkeypatch.setattr(A.os, "replace", boom)
+        with pytest.raises(RuntimeError):
+            main(["analyze", str(artifact), "--dot", str(dots / "g.dot"), "--max-units", "2000"])
+        assert (dots / "g.dot").read_text() == "previous"
+        assert os.listdir(dots) == ["g.dot"]
 
     def test_analyze_refuses_oversized_graph(self, trained, tmp_path, capsys):
         _, artifact = trained

@@ -22,19 +22,19 @@ def make_param(logits, weights=None, name="w"):
 
 class TestProbability:
     def test_zero_logit_is_half(self):
-        p = masking.mask_probability(Tensor([0.0]))
+        p = T.sigmoid(Tensor([0.0]))
         np.testing.assert_allclose(p.data, [0.5])
 
     def test_log3_is_three_quarters(self):
-        p = masking.mask_probability(Tensor([np.log(3.0)]))
+        p = T.sigmoid(Tensor([np.log(3.0)]))
         np.testing.assert_allclose(p.data, [0.75], atol=1e-12)
 
     def test_init_logit_lands_at_point_nine(self):
-        p = masking.mask_probability(Tensor([masking.LOGIT_INIT]))
+        p = T.sigmoid(Tensor([masking.LOGIT_INIT]))
         np.testing.assert_allclose(p.data, [0.9], atol=1e-4)
 
     def test_saturation(self):
-        p = masking.mask_probability(Tensor([-40.0, 40.0]))
+        p = T.sigmoid(Tensor([-40.0, 40.0]))
         assert p.data[0] < 1e-15
         assert p.data[1] > 1.0 - 1e-15
 

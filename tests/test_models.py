@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import _reference as ref
 from modnet import tensor as T
 from modnet.errors import ConfigError, ShapeError
 from modnet.masking import LOGIT_INIT, MaskMode
@@ -162,11 +163,11 @@ class TestGroupSpecs:
         m = build_model(cfg, 0)
         specs = m.collect_group_specs()
         assert specs["conv0"].num_groups == 2
-        assert all(len(g) == 16 * 9 for g in specs["conv0"].groups)
+        assert all(len(g) == 16 * 9 for g in ref.groups_of(specs["conv0"]))
         assert specs["conv1"].num_groups == 16
         # head reads the flattened (32, 7, 7) map, grouped by channel
         assert specs["dense0"].num_groups == 32
-        assert all(len(g) == 128 * 49 for g in specs["dense0"].groups)
+        assert all(len(g) == 128 * 49 for g in ref.groups_of(specs["dense0"]))
         assert specs["dense1"].num_groups == 128
 
     def test_flatten_blocks_follow_channel_layout(self):
@@ -175,7 +176,7 @@ class TestGroupSpecs:
         specs = m.collect_group_specs()
         dense0 = next(l for l in m.layers if l.param.name == "dense0")
         flat_logits = dense0.param.mask_logits.data.reshape(-1)
-        for idx in specs["dense0"].groups[0]:
+        for idx in ref.groups_of(specs["dense0"])[0]:
             flat_logits[idx] = -40.0
         # ...and the conv stack's channel 0 output then cannot matter
         rng = np.random.default_rng(8)

@@ -39,22 +39,22 @@ def ce_numpy(z, y, w=1.0):
 
 class TestRisk:
     def test_uniform_ten_class(self):
-        loss = O.cross_entropy_risk(Tensor(np.zeros((5, 10))), np.zeros(5, dtype=int))
+        loss = T.softmax_cross_entropy(Tensor(np.zeros((5, 10))), np.zeros(5, dtype=int))
         np.testing.assert_allclose(loss.item(), np.log(10.0), atol=1e-12)
         np.testing.assert_allclose(loss.item(), 2.302585, atol=1e-6)
 
     def test_saturated_logit_vanishes(self):
         z = np.zeros((1, 3))
         z[0, 1] = 50.0
-        loss = O.cross_entropy_risk(Tensor(z), np.array([1]))
+        loss = T.softmax_cross_entropy(Tensor(z), np.array([1]))
         assert loss.item() <= 1e-8
 
     def test_mean_of_two_samples(self):
         za = np.array([[2.0, -1.0, 0.5]])
         zb = np.array([[0.1, 0.2, 0.3]])
-        a = O.cross_entropy_risk(Tensor(za), np.array([0])).item()
-        b = O.cross_entropy_risk(Tensor(zb), np.array([2])).item()
-        both = O.cross_entropy_risk(Tensor(np.vstack([za, zb])), np.array([0, 2])).item()
+        a = T.softmax_cross_entropy(Tensor(za), np.array([0])).item()
+        b = T.softmax_cross_entropy(Tensor(zb), np.array([2])).item()
+        both = T.softmax_cross_entropy(Tensor(np.vstack([za, zb])), np.array([0, 2])).item()
         np.testing.assert_allclose(both, (a + b) / 2, rtol=1e-12)
 
 
@@ -63,7 +63,7 @@ class TestDummyGrad:
         z = Tensor([[0.5, -0.5], [1.0, 2.0]])
         labels = np.array([0.0, 1.0])
         with pytest.raises(DataError, match="integers"):
-            O.cross_entropy_risk(z, labels)
+            T.softmax_cross_entropy(z, labels)
         with pytest.raises(DataError, match="integers"):
             O.risk_dummy_grad(z, labels)
         with pytest.raises(DataError, match="integers"):
@@ -117,7 +117,7 @@ class TestTotalObjective:
         b = rand_batch(rng, "e0")
         cfg = O.ObjectiveConfig(base="erm")
         loss, bd = O.total_objective(m, [b], cfg, None, DET, None, step=0)
-        direct = O.cross_entropy_risk(m.forward(Tensor(b.inputs), DET), b.labels)
+        direct = T.softmax_cross_entropy(m.forward(Tensor(b.inputs), DET), b.labels)
         assert loss.item() == direct.item()
         assert bd.irm == 0.0 and bd.l2 == 0.0 and bd.s1 == 0.0 and bd.s2 == 0.0
 
@@ -127,8 +127,8 @@ class TestTotalObjective:
         small, big = rand_batch(rng, "a", n=2), rand_batch(rng, "b", n=6)
         cfg = O.ObjectiveConfig(base="erm")
         loss, _ = O.total_objective(m, [small, big], cfg, None, DET, None, step=0)
-        ra = O.cross_entropy_risk(m.forward(Tensor(small.inputs), DET), small.labels).item()
-        rb = O.cross_entropy_risk(m.forward(Tensor(big.inputs), DET), big.labels).item()
+        ra = T.softmax_cross_entropy(m.forward(Tensor(small.inputs), DET), small.labels).item()
+        rb = T.softmax_cross_entropy(m.forward(Tensor(big.inputs), DET), big.labels).item()
         np.testing.assert_allclose(loss.item(), (2 * ra + 6 * rb) / 8, rtol=1e-12)
 
     def test_irm_averages_env_risks(self):
@@ -137,8 +137,8 @@ class TestTotalObjective:
         a, b = rand_batch(rng, "a", n=2), rand_batch(rng, "b", n=6)
         cfg = O.ObjectiveConfig(base="irm", irm_lambda=0.0, irm_anneal_steps=0)
         _, bd = O.total_objective(m, [a, b], cfg, None, DET, None, step=10)
-        ra = O.cross_entropy_risk(m.forward(Tensor(a.inputs), DET), a.labels).item()
-        rb = O.cross_entropy_risk(m.forward(Tensor(b.inputs), DET), b.labels).item()
+        ra = T.softmax_cross_entropy(m.forward(Tensor(a.inputs), DET), a.labels).item()
+        rb = T.softmax_cross_entropy(m.forward(Tensor(b.inputs), DET), b.labels).item()
         np.testing.assert_allclose(bd.risk, (ra + rb) / 2, rtol=1e-12)
 
     def test_lambda_anneal_schedule(self):

@@ -32,7 +32,8 @@ def s2_brute(flat, groups, eps=R.EPS):
 
 
 def single_spec(probs, groups, layer_id="l0"):
-    spec = GroupSpec(layer_id, [np.asarray(g) for g in groups])
+    listed = ref.ListGroupSpec(layer_id, groups)
+    spec = GroupSpec(layer_id, listed.group_ids, listed.num_groups)
     return {layer_id: Tensor(np.asarray(probs, dtype=float))}, {layer_id: spec}
 
 
@@ -101,11 +102,11 @@ class TestBruteForceOracle:
             probs = {"conv": Tensor(flat.reshape(o, c, k, k))}
             np.testing.assert_allclose(
                 R.specialization_penalty(probs, {"conv": spec}).item(),
-                s1_brute(flat, spec.groups), rtol=1e-12, atol=1e-12,
+                s1_brute(flat, ref.groups_of(spec)), rtol=1e-12, atol=1e-12,
             )
             np.testing.assert_allclose(
                 R.reuse_penalty(probs, {"conv": spec}).item(),
-                s2_brute(flat, spec.groups), rtol=1e-12, atol=1e-12,
+                s2_brute(flat, ref.groups_of(spec)), rtol=1e-12, atol=1e-12,
             )
 
     def test_multi_layer_sums(self):
@@ -116,7 +117,7 @@ class TestBruteForceOracle:
         c_flat = rng.uniform(0, 1, size=24)
         probs = {"dense": Tensor(d_flat.reshape(3, 4)), "conv": Tensor(c_flat.reshape(2, 3, 2, 2))}
         specs = {"dense": d_spec, "conv": c_spec}
-        expect = s1_brute(d_flat, d_spec.groups) + s1_brute(c_flat, c_spec.groups)
+        expect = s1_brute(d_flat, ref.groups_of(d_spec)) + s1_brute(c_flat, ref.groups_of(c_spec))
         np.testing.assert_allclose(R.specialization_penalty(probs, specs).item(), expect, rtol=1e-12)
 
 
@@ -124,19 +125,19 @@ class TestStructure:
     def test_dense_groups_are_columns(self):
         spec = R.build_group_spec_dense(2, 3)
         assert spec.num_groups == 3
-        np.testing.assert_array_equal(sorted(spec.groups[0]), [0, 3])
-        np.testing.assert_array_equal(sorted(spec.groups[2]), [2, 5])
+        np.testing.assert_array_equal(ref.groups_of(spec)[0], [0, 3])
+        np.testing.assert_array_equal(ref.groups_of(spec)[2], [2, 5])
 
     def test_conv_groups_are_input_channels(self):
         spec = R.build_group_spec_conv(4, 2, 3, 3)
         assert spec.num_groups == 2
-        assert all(len(g) == 4 * 9 for g in spec.groups)
+        assert all(len(g) == 4 * 9 for g in ref.groups_of(spec))
         # channel 0 of an (O, C, 3, 3) kernel: first 9 flat entries of each o
-        assert 0 in spec.groups[0] and 9 in spec.groups[1]
+        assert 0 in ref.groups_of(spec)[0] and 9 in ref.groups_of(spec)[1]
 
     def test_block_groups(self):
         spec = R.build_group_spec_dense_blocks(2, 6, 3)
-        assert spec.num_groups == 3 and all(len(g) == 4 for g in spec.groups)
+        assert spec.num_groups == 3 and all(len(g) == 4 for g in ref.groups_of(spec))
         with pytest.raises(ContractError):
             R.build_group_spec_dense_blocks(2, 6, 4)
 
@@ -147,15 +148,23 @@ class TestStructure:
         assert R.build_group_spec_conv(4, 2, 3, 3).dense_shape is None
         assert R.build_group_spec_dense_blocks(2, 6, 3).dense_shape is None
         # ids 0, 1, 0, 1, 0 repeat like columns but fill no whole last row
-        assert GroupSpec("l0", [np.array([0, 2, 4]), np.array([1, 3])]).dense_shape is None
+        assert GroupSpec("l0", np.array([0, 1, 0, 1, 0]), 2).dense_shape is None
 
     def test_partition_validation(self):
-        with pytest.raises(ContractError):
-            GroupSpec("bad", [np.array([0, 1]), np.array([1, 2])])  # overlap
-        with pytest.raises(ContractError):
-            GroupSpec("bad", [np.array([0, 2])])  # gap
-        with pytest.raises(ContractError):
-            GroupSpec("bad", [])
+        # one id per entry partitions the entries by construction; what can
+        # be wrong is the id array itself
+        for ids, k in (
+            (np.array([0, 2]), 2),  # id out of range
+            (np.array([0, -1]), 2),  # negative id
+            (np.array([], dtype=np.intp), 1),  # no entries
+            (np.array([[0, 1]]), 2),  # not 1-D
+            (np.array([0.0, 1.0]), 2),  # not integers
+            (np.array([True, False]), 2),  # not integers
+            (np.array([0, 0]), 0),  # no groups
+        ):
+            with pytest.raises(ContractError):
+                GroupSpec("bad", ids, k)
+        assert GroupSpec("ok", np.array([0, 0], dtype=np.uint8), 2).group_ids.dtype == np.intp
 
     def test_size_mismatch_rejected(self):
         probs, specs = single_spec([0.1, 0.2], [[0, 1]])
@@ -221,6 +230,35 @@ class TestProperties:
 
         x = Tensor(rng.uniform(-2, 2, size=(3, 4)))
         assert finite_difference_check(f, x) < 1e-4
+
+
+def assert_same_spec(new, old):
+    assert new.group_ids.dtype == old.group_ids.dtype
+    assert new.group_ids.tobytes() == old.group_ids.tobytes()
+    assert (new.layer_id, new.dense_shape, new.num_entries, new.num_groups) == (
+        old.layer_id, old.dense_shape, old.num_entries, old.num_groups)
+
+
+class TestBuildersMatchListOfGroups:
+    """The builders' id arrays against the one-index-array-per-group
+    construction they replaced."""
+
+    @pytest.mark.parametrize("out_dim, in_dim", [(3, 5), (1, 7), (6, 1), (1, 1), (256, 1568)])
+    def test_dense(self, out_dim, in_dim):
+        assert_same_spec(R.build_group_spec_dense(out_dim, in_dim, "l"), ref.list_spec_dense(out_dim, in_dim, "l"))
+
+    @pytest.mark.parametrize("out_dim, in_dim, blocks", [
+        (2, 6, 3), (1, 6, 3), (4, 5, 5), (3, 4, 1), (5, 1, 1), (1, 1, 1), (128, 1568, 32),
+    ])
+    def test_dense_blocks(self, out_dim, in_dim, blocks):
+        assert_same_spec(R.build_group_spec_dense_blocks(out_dim, in_dim, blocks, "l"),
+                         ref.list_spec_dense_blocks(out_dim, in_dim, blocks, "l"))
+
+    @pytest.mark.parametrize("o, c, kh, kw", [
+        (4, 2, 3, 3), (1, 3, 3, 3), (4, 1, 3, 3), (4, 2, 1, 1), (1, 1, 1, 1), (2, 3, 2, 3), (32, 16, 3, 3),
+    ])
+    def test_conv(self, o, c, kh, kw):
+        assert_same_spec(R.build_group_spec_conv(o, c, kh, kw, "l"), ref.list_spec_conv(o, c, kh, kw, "l"))
 
 
 class TestColumnSums:

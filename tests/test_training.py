@@ -13,7 +13,7 @@ from modnet.data import Environment
 from modnet.errors import ConfigError, DataError, TrainingError
 from modnet.masking import MaskMode
 from modnet.models import ModelConfig, build_model
-from modnet.objectives import ObjectiveConfig, cross_entropy_risk
+from modnet.objectives import ObjectiveConfig
 from modnet.regularizers import RegWeights, reuse_penalty, specialization_penalty
 from modnet.tensor import Tape, Tensor
 from modnet.training import Adam, MetricsRow, TrainConfig, evaluate, temperature, train
@@ -86,6 +86,35 @@ class TestAdam:
             grads = tape.backward(T.reduce_sum(T.sqrt(w)))  # d sqrt at 0 = inf
         with pytest.raises(TrainingError, match="dense0.weights"):
             opt.step(tape, grads)
+
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    def test_nonfinite_gradient_on_a_later_parameter_changes_nothing(self):
+        def fresh():
+            a = Tensor([1.0], requires_grad=True)
+            b = Tensor([0.0], requires_grad=True)
+            return a, b, Adam([("a", a), ("b", b)], lr=0.1)
+
+        def step(a, b, opt, f):
+            with Tape() as tape:
+                grads = tape.backward(T.add(T.reduce_sum(T.square(a)), T.reduce_sum(f(b))))
+            opt.step(tape, grads)
+
+        a, b, opt = fresh()
+        with pytest.raises(TrainingError, match="'b' at step 1"):
+            step(a, b, opt, T.sqrt)  # d sqrt at 0 = inf; a's gradient is finite
+        assert a.data.tolist() == [1.0] and b.data.tolist() == [0.0] and opt.t == 0
+        for moments in (opt.m, opt.v):
+            assert all(not arr.any() for arr in moments.values())
+        # a retry with finite gradients is a fresh optimizer's first step
+        a2, b2, opt2 = fresh()
+        step(a, b, opt, T.square)
+        step(a2, b2, opt2, T.square)
+        assert opt.t == opt2.t == 1
+        for x, y in ((a, a2), (b, b2)):
+            assert x.data.tobytes() == y.data.tobytes()
+        for name in ("a", "b"):
+            assert opt.m[name].tobytes() == opt2.m[name].tobytes()
+            assert opt.v[name].tobytes() == opt2.v[name].tobytes()
 
     def test_update_does_not_mutate_arrays_in_place(self):
         w = Tensor([1.0], requires_grad=True)
@@ -247,8 +276,8 @@ class TestTrain:
         model, rows = train(cfg, envs)
         fresh = build_model(cfg.model, cfg.seed)
         x = Tensor(envs[0].inputs)
-        before = cross_entropy_risk(fresh.forward(x, MaskMode.deterministic()), envs[0].labels).item()
-        after = cross_entropy_risk(model.forward(x, MaskMode.deterministic()), envs[0].labels).item()
+        before = T.softmax_cross_entropy(fresh.forward(x, MaskMode.deterministic()), envs[0].labels).item()
+        after = T.softmax_cross_entropy(model.forward(x, MaskMode.deterministic()), envs[0].labels).item()
         assert after < before
 
     def test_identical_seeds_identical_logs(self):
